@@ -1,28 +1,21 @@
 #include "claims/ev_fast.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <queue>
 #include <set>
 
 #include "core/engine.h"
-#include "dist/convolution.h"
 #include "dist/planes.h"
 #include "util/check.h"
 
 namespace factcheck {
 namespace {
 
-// Default data path for new evaluators; flipped by SetPlanesEnabledForTest
-// around workload construction in the equivalence tests and the planes
-// on/off bench sections.
-std::atomic<bool> g_planes_enabled{true};
-
-// Terms at most this wide memoize into a flat mask-indexed array (planes
-// path): 2^12 doubles = 32 KiB per term, allocated lazily on first touch.
-// Wider terms fall back to the hash-map cache shared with the legacy path.
+// Terms at most this wide memoize into a flat mask-indexed array: 2^12
+// doubles = 32 KiB per term, allocated lazily on first touch.  Wider terms
+// fall back to a hash-map cache.
 constexpr int kFlatCacheBits = 12;
 
 // Bitmask of which members are cleaned; -1 when the term is too wide to
@@ -41,9 +34,9 @@ int64_t CleanedMask(const std::vector<int>& members,
 // direction) branch once per term and hands `fn` a factory `make_g` that
 // builds the per-claim transform closure from its sensibility.  Each
 // closure performs exactly QualityTransform's arithmetic in the same
-// order, so planes-path kernels produce bit-identical values to the
-// legacy per-atom Transform() calls while keeping the transform inlinable
-// inside the kernel loops.
+// order, so the kernels produce bit-identical values to per-atom
+// QualityTransform calls while keeping the transform inlinable inside the
+// kernel loops.
 template <typename Fn>
 void DispatchMeasure(QualityMeasure measure, StrengthDirection direction,
                      double reference, Fn&& fn) {
@@ -100,22 +93,15 @@ void DispatchMeasure(QualityMeasure measure, StrengthDirection direction,
 
 }  // namespace
 
-void ClaimEvEvaluator::SetPlanesEnabledForTest(bool enabled) {
-  g_planes_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 ClaimEvEvaluator::ClaimEvEvaluator(const CleaningProblem* problem,
                                    const PerturbationSet* context,
                                    QualityMeasure measure, double reference,
-                                   StrengthDirection direction,
-                                   std::optional<bool> use_planes)
+                                   StrengthDirection direction)
     : problem_(problem),
       context_(context),
       measure_(measure),
       reference_(reference),
-      direction_(direction),
-      use_planes_(use_planes.value_or(
-          g_planes_enabled.load(std::memory_order_relaxed))) {
+      direction_(direction) {
   FC_CHECK(problem_ != nullptr);
   FC_CHECK(context_ != nullptr);
   seen_epoch_ = problem_->epoch();
@@ -189,55 +175,48 @@ ClaimEvEvaluator::ClaimEvEvaluator(const CleaningProblem* problem,
   ecov_cache_.resize(pairs_.size());
   evar_flat_cache_.resize(m);
   ecov_flat_cache_.resize(pairs_.size());
-  if (use_planes_) {
-    planes_ = problem_->planes_ptr();
-    // EVFast needs every term mask to fit a flat cache; one wide claim or
-    // pair falls the whole evaluator back to the generic EV loop.
-    bool ok = true;
+  planes_ = problem_->planes_ptr();
+  // EVFast needs every term mask to fit a flat cache; one wide claim or
+  // pair falls the whole evaluator back to the generic EV loop.
+  bool ok = true;
+  for (const auto& comps : claim_components_) {
+    if (static_cast<int>(comps.size()) > kFlatCacheBits) ok = false;
+  }
+  for (const auto& members : pair_members_) {
+    if (static_cast<int>(members.size()) > kFlatCacheBits) ok = false;
+  }
+  fast_ev_ok_ = ok;
+  if (ok) {
+    term_inc_offset_.assign(n + 1, 0);
+    pair_inc_offset_.assign(n + 1, 0);
     for (const auto& comps : claim_components_) {
-      if (static_cast<int>(comps.size()) > kFlatCacheBits) ok = false;
+      for (const Component& c : comps) ++term_inc_offset_[c.object + 1];
     }
     for (const auto& members : pair_members_) {
-      if (static_cast<int>(members.size()) > kFlatCacheBits) ok = false;
+      for (int obj : members) ++pair_inc_offset_[obj + 1];
     }
-    fast_ev_ok_ = ok;
-    if (ok) {
-      term_inc_offset_.assign(n + 1, 0);
-      pair_inc_offset_.assign(n + 1, 0);
-      for (const auto& comps : claim_components_) {
-        for (const Component& c : comps) ++term_inc_offset_[c.object + 1];
+    for (int i = 0; i < n; ++i) {
+      term_inc_offset_[i + 1] += term_inc_offset_[i];
+      pair_inc_offset_[i + 1] += pair_inc_offset_[i];
+    }
+    term_inc_.resize(term_inc_offset_[n]);
+    pair_inc_.resize(pair_inc_offset_[n]);
+    std::vector<int> cursor(term_inc_offset_.begin(),
+                            term_inc_offset_.end() - 1);
+    for (int k = 0; k < m; ++k) {
+      const auto& comps = claim_components_[k];
+      for (int j = 0; j < static_cast<int>(comps.size()); ++j) {
+        term_inc_[cursor[comps[j].object]++] = {k, std::uint32_t{1} << j};
       }
-      for (const auto& members : pair_members_) {
-        for (int obj : members) ++pair_inc_offset_[obj + 1];
-      }
-      for (int i = 0; i < n; ++i) {
-        term_inc_offset_[i + 1] += term_inc_offset_[i];
-        pair_inc_offset_[i + 1] += pair_inc_offset_[i];
-      }
-      term_inc_.resize(term_inc_offset_[n]);
-      pair_inc_.resize(pair_inc_offset_[n]);
-      std::vector<int> cursor(term_inc_offset_.begin(),
-                              term_inc_offset_.end() - 1);
-      for (int k = 0; k < m; ++k) {
-        const auto& comps = claim_components_[k];
-        for (int j = 0; j < static_cast<int>(comps.size()); ++j) {
-          term_inc_[cursor[comps[j].object]++] = {k, std::uint32_t{1} << j};
-        }
-      }
-      cursor.assign(pair_inc_offset_.begin(), pair_inc_offset_.end() - 1);
-      for (int p = 0; p < static_cast<int>(pairs_.size()); ++p) {
-        const auto& members = pair_members_[p];
-        for (int j = 0; j < static_cast<int>(members.size()); ++j) {
-          pair_inc_[cursor[members[j]]++] = {p, std::uint32_t{1} << j};
-        }
+    }
+    cursor.assign(pair_inc_offset_.begin(), pair_inc_offset_.end() - 1);
+    for (int p = 0; p < static_cast<int>(pairs_.size()); ++p) {
+      const auto& members = pair_members_[p];
+      for (int j = 0; j < static_cast<int>(members.size()); ++j) {
+        pair_inc_[cursor[members[j]]++] = {p, std::uint32_t{1} << j};
       }
     }
   }
-}
-
-double ClaimEvEvaluator::Transform(int k, double q) const {
-  return QualityTransform(measure_, q, reference_,
-                          context_->sensibilities[k], direction_);
 }
 
 void ClaimEvEvaluator::RefreshIfStale() const {
@@ -290,14 +269,14 @@ void ClaimEvEvaluator::RefreshAllTerms() const {
     c.value.clear();
     c.present.clear();
   }
-  if (use_planes_) planes_ = problem_->planes_ptr();
+  planes_ = problem_->planes_ptr();
   // The EVFast base values are re-derived lazily by the next InitFastEv
   // (which also resizes cleaned_scratch_ to the new object count).
   fast_ev_ready_ = false;
 }
 
 void ClaimEvEvaluator::RefreshObjects(const std::vector<int>& changed) const {
-  if (use_planes_) planes_ = problem_->planes_ptr();
+  planes_ = problem_->planes_ptr();
   // Theorem 3.8's locality in reverse: a distribution change to object i
   // can only move the terms of claims/pairs referencing i.  Gather that
   // footprint (sorted unique — neighbouring changed objects share terms)
@@ -357,42 +336,7 @@ double* ClaimEvEvaluator::FlatSlot(FlatTermCache& cache, int width,
   return &cache.value[mask];
 }
 
-// --- Legacy AoS data path --------------------------------------------------
-
-ClaimEvEvaluator::Dist1D ClaimEvEvaluator::Convolve1D(
-    const std::vector<Component>& components,
-    const std::vector<bool>& is_cleaned, bool want_cleaned) const {
-  std::vector<WeightedTerm> terms;
-  terms.reserve(components.size());
-  for (const Component& comp : components) {
-    if (is_cleaned[comp.object] != want_cleaned) continue;
-    terms.push_back({&problem_->object(comp.object).dist, comp.coeff});
-  }
-  SumDistribution sum = ConvolveSum(terms);
-  Dist1D out;
-  out.reserve(sum.size());
-  for (const SumAtom& a : sum) out.push_back({a.value, a.prob});
-  return out;
-}
-
-ClaimEvEvaluator::Dist2D ClaimEvEvaluator::Convolve2D(
-    const std::vector<Component2>& components,
-    const std::vector<bool>& is_cleaned, bool want_cleaned) const {
-  std::vector<WeightedTerm2> terms;
-  terms.reserve(components.size());
-  for (const Component2& comp : components) {
-    if (is_cleaned[comp.object] != want_cleaned) continue;
-    terms.push_back({&problem_->object(comp.object).dist, comp.coeff_a,
-                     comp.coeff_b});
-  }
-  SumDistribution2 sum = ConvolveSum2(terms);
-  Dist2D out;
-  out.reserve(sum.size());
-  for (const SumAtom2& a : sum) out.push_back({a.a, a.b, a.prob});
-  return out;
-}
-
-// --- SoA planes data path --------------------------------------------------
+// --- Kernel-backed term computation ----------------------------------------
 
 int ClaimEvEvaluator::Convolve1DPlanes(const std::vector<Component>& components,
                                        const std::vector<bool>& is_cleaned,
@@ -427,7 +371,7 @@ int ClaimEvEvaluator::Convolve2DPlanes(
                           &counters_);
 }
 
-double ClaimEvEvaluator::EVarTermPlanes(
+double ClaimEvEvaluator::EVarTermUncached(
     int k, const std::vector<bool>& is_cleaned) const {
   const auto& comps = claim_components_[k];
   const int nu = Convolve1DPlanes(comps, is_cleaned, false, ws1_a_);
@@ -451,8 +395,8 @@ double ClaimEvEvaluator::EVarTermPlanes(
   return ev;
 }
 
-double ClaimEvEvaluator::MeanTermPlanes(
-    int k, const std::vector<bool>& is_cleaned) const {
+double ClaimEvEvaluator::MeanTerm(int k,
+                                  const std::vector<bool>& is_cleaned) const {
   const auto& comps = claim_components_[k];
   const int nu = Convolve1DPlanes(comps, is_cleaned, false, ws1_a_);
   const int ncl = Convolve1DPlanes(comps, is_cleaned, true, ws1_b_);
@@ -466,7 +410,7 @@ double ClaimEvEvaluator::MeanTermPlanes(
   return mean;
 }
 
-double ClaimEvEvaluator::ECovTermPlanes(
+double ClaimEvEvaluator::ECovTermUncached(
     int pair_idx, const std::vector<bool>& is_cleaned) const {
   const Pair& pair = pairs_[pair_idx];
   // No uncleaned shared object => conditional independence => zero.
@@ -492,7 +436,8 @@ double ClaimEvEvaluator::ECovTermPlanes(
     auto g1 = make_g(context_->sensibilities[pair.k1]);
     auto g2 = make_g(context_->sensibilities[pair.k2]);
     for (int c = 0; c < ncl; ++c) {
-      // (base + c) + d + value reproduces the legacy shift grouping.
+      // Keep the (base + c) + d + value grouping: regrouping moves term
+      // values by ulps and can change selections.
       const double c1 = base1 + ca[c];
       const double c2 = base2 + cb[c];
       double e12 = 0.0, e1 = 0.0, e2 = 0.0;
@@ -515,7 +460,7 @@ double ClaimEvEvaluator::EVarTerm(int k,
                                   const std::vector<bool>& is_cleaned) const {
   const auto& comps = claim_components_[k];
   const int width = static_cast<int>(comps.size());
-  if (use_planes_ && width <= kFlatCacheBits) {
+  if (width <= kFlatCacheBits) {
     std::uint32_t mask = 0;
     for (int j = 0; j < width; ++j) {
       if (is_cleaned[comps[j].object]) mask |= std::uint32_t{1} << j;
@@ -542,49 +487,11 @@ double ClaimEvEvaluator::EVarTerm(int k,
   return EVarTermUncached(k, is_cleaned);
 }
 
-double ClaimEvEvaluator::EVarTermUncached(
-    int k, const std::vector<bool>& is_cleaned) const {
-  if (use_planes_) return EVarTermPlanes(k, is_cleaned);
-  const auto& comps = claim_components_[k];
-  Dist1D uncleaned = Convolve1D(comps, is_cleaned, false);
-  if (uncleaned.size() <= 1) return 0.0;  // fully cleaned => no variance
-  Dist1D cleaned = Convolve1D(comps, is_cleaned, true);
-  double base = claim_intercepts_[k];
-  double ev = 0.0;
-  for (const Atom& c : cleaned) {
-    double m1 = 0.0, m2 = 0.0;
-    for (const Atom& s : uncleaned) {
-      double g = Transform(k, base + c.value + s.value);
-      m1 += s.prob * g;
-      m2 += s.prob * g * g;
-    }
-    double var = m2 - m1 * m1;
-    if (var > 0.0) ev += c.prob * var;
-  }
-  return ev;
-}
-
-double ClaimEvEvaluator::MeanTerm(int k,
-                                  const std::vector<bool>& is_cleaned) const {
-  if (use_planes_) return MeanTermPlanes(k, is_cleaned);
-  const auto& comps = claim_components_[k];
-  Dist1D uncleaned = Convolve1D(comps, is_cleaned, false);
-  Dist1D cleaned = Convolve1D(comps, is_cleaned, true);
-  double base = claim_intercepts_[k];
-  double mean = 0.0;
-  for (const Atom& c : cleaned) {
-    for (const Atom& s : uncleaned) {
-      mean += c.prob * s.prob * Transform(k, base + c.value + s.value);
-    }
-  }
-  return mean;
-}
-
 double ClaimEvEvaluator::ECovTerm(int pair_idx,
                                   const std::vector<bool>& is_cleaned) const {
   const auto& members = pair_members_[pair_idx];
   const int width = static_cast<int>(members.size());
-  if (use_planes_ && width <= kFlatCacheBits) {
+  if (width <= kFlatCacheBits) {
     std::uint32_t mask = 0;
     for (int j = 0; j < width; ++j) {
       if (is_cleaned[members[j]]) mask |= std::uint32_t{1} << j;
@@ -608,42 +515,6 @@ double ClaimEvEvaluator::ECovTerm(int pair_idx,
   return ECovTermUncached(pair_idx, is_cleaned);
 }
 
-double ClaimEvEvaluator::ECovTermUncached(
-    int pair_idx, const std::vector<bool>& is_cleaned) const {
-  if (use_planes_) return ECovTermPlanes(pair_idx, is_cleaned);
-  const Pair& pair = pairs_[pair_idx];
-  // No uncleaned shared object => conditional independence => zero.
-  Dist2D shared_uncleaned = Convolve2D(pair.shared, is_cleaned, false);
-  if (shared_uncleaned.size() <= 1) return 0.0;
-
-  // Joint cleaned contribution across the union of both claims' refs.
-  Dist2D cleaned_joint = Convolve2D(pair.all, is_cleaned, true);
-  Dist1D excl1 = Convolve1D(pair.exclusive1, is_cleaned, false);
-  Dist1D excl2 = Convolve1D(pair.exclusive2, is_cleaned, false);
-
-  double base1 = claim_intercepts_[pair.k1];
-  double base2 = claim_intercepts_[pair.k2];
-  double ecov = 0.0;
-  for (const Atom2& c : cleaned_joint) {
-    double e12 = 0.0, e1 = 0.0, e2 = 0.0;
-    for (const Atom2& d : shared_uncleaned) {
-      double h1 = 0.0;
-      for (const Atom& a : excl1) {
-        h1 += a.prob * Transform(pair.k1, base1 + c.a + d.a + a.value);
-      }
-      double h2 = 0.0;
-      for (const Atom& a : excl2) {
-        h2 += a.prob * Transform(pair.k2, base2 + c.b + d.b + a.value);
-      }
-      e12 += d.prob * h1 * h2;
-      e1 += d.prob * h1;
-      e2 += d.prob * h2;
-    }
-    ecov += c.prob * (e12 - e1 * e2);
-  }
-  return ecov;
-}
-
 double ClaimEvEvaluator::EVarTermMask(int k, std::uint32_t mask) const {
   const auto& comps = claim_components_[k];
   const int width = static_cast<int>(comps.size());
@@ -655,7 +526,7 @@ double ClaimEvEvaluator::EVarTermMask(int k, std::uint32_t mask) const {
       cleaned_scratch_[comps[j].object] = true;
     }
   }
-  double value = EVarTermPlanes(k, cleaned_scratch_);
+  double value = EVarTermUncached(k, cleaned_scratch_);
   for (int j = 0; j < width; ++j) {
     if (mask & (std::uint32_t{1} << j)) {
       cleaned_scratch_[comps[j].object] = false;
@@ -674,7 +545,7 @@ double ClaimEvEvaluator::ECovTermMask(int pair_idx, std::uint32_t mask) const {
   for (int j = 0; j < width; ++j) {
     if (mask & (std::uint32_t{1} << j)) cleaned_scratch_[members[j]] = true;
   }
-  double value = ECovTermPlanes(pair_idx, cleaned_scratch_);
+  double value = ECovTermUncached(pair_idx, cleaned_scratch_);
   for (int j = 0; j < width; ++j) {
     if (mask & (std::uint32_t{1} << j)) cleaned_scratch_[members[j]] = false;
   }
@@ -694,7 +565,7 @@ void ClaimEvEvaluator::InitFastEv() const {
   pair_mask_.assign(np, 0);
   touched_terms_.reserve(m);
   touched_pairs_.reserve(np);
-  // EV(empty), accumulated in the legacy claim-then-pair order.
+  // EV(empty), accumulated in EV's claim-then-pair order.
   double total = 0.0;
   for (int k = 0; k < m; ++k) {
     base_evar_[k] = EVarTermMask(k, 0);
@@ -760,7 +631,7 @@ double ClaimEvEvaluator::EVFast(const std::vector<int>& cleaned) const {
 
 double ClaimEvEvaluator::EV(const std::vector<int>& cleaned) const {
   RefreshIfStale();
-  if (fast_ev_ok_) return EVFast(cleaned);  // planes path, narrow terms
+  if (fast_ev_ok_) return EVFast(cleaned);  // every term fits a flat cache
   cleaned_scratch_.assign(problem_->size(), false);
   std::vector<bool>& is_cleaned = cleaned_scratch_;
   for (int i : cleaned) {

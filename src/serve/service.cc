@@ -75,6 +75,12 @@ bool Fail(std::string* error, const std::string& message) {
   return false;
 }
 
+std::string AlreadyRegistered(const std::string& name) {
+  return "problem \"" + name +
+         "\" is already registered (re-registration would orphan its "
+         "engines' memos)";
+}
+
 // Optional "deadline_ms" -> a DeadlineToken born at parse time (so the
 // budget covers queueing on the run mutex too).  False on a wrong-typed
 // member.
@@ -99,6 +105,18 @@ bool PlanningService::RegisterProblem(const std::string& name,
   if (name.empty()) {
     if (error != nullptr) *error = "problem name must be non-empty";
     return false;
+  }
+  // Reject a taken or unpersistable name before paying for the CSV parse.
+  // The try_emplace below still catches a concurrent register of the same
+  // name that lands between this check and the insert.
+  {
+    fc::MutexLock lock(&registry_mutex_);
+    if (problems_.count(name) != 0) return Fail(error, AlreadyRegistered(name));
+    if (store_ != nullptr && !ChangelogStore::ValidName(name)) {
+      return Fail(error,
+                  "with persistence enabled, problem names must match "
+                  "[A-Za-z0-9_.-] and not start with '.'");
+    }
   }
   std::optional<CleaningProblem> problem = data::ProblemFromCsv(csv, error);
   if (!problem.has_value()) return false;
@@ -127,26 +145,13 @@ bool PlanningService::RegisterProblem(const std::string& name,
       name, std::move(*problem), std::move(refs), std::move(coeffs));
   fc::MutexLock lock(&registry_mutex_);
   auto [it, inserted] = problems_.try_emplace(name, std::move(entry));
-  if (!inserted) {
-    if (error != nullptr) {
-      *error = "problem \"" + name +
-               "\" is already registered (re-registration would orphan its "
-               "engines' memos)";
-    }
-    return false;
-  }
+  if (!inserted) return Fail(error, AlreadyRegistered(name));
   if (store_ != nullptr) {
     // Persist the initial state as a snapshot at sequence 0, so the
     // problem survives a restart even before its first update.  A
     // persistence failure unregisters the problem — a problem the
     // changelog can't restore must not accept updates it would forget.
     ProblemEntry* inserted_entry = it->second.get();
-    if (!ChangelogStore::ValidName(name)) {
-      problems_.erase(it);
-      return Fail(error,
-                  "with persistence enabled, problem names must match "
-                  "[A-Za-z0-9_.-] and not start with '.'");
-    }
     std::string snapshot;
     {
       fc::MutexLock run_lock(&inserted_entry->run_mutex);

@@ -275,6 +275,15 @@ TEST(PlanningService, RegisterErrorPaths) {
   EXPECT_NE(dup->Find("error")->string().find("already registered"),
             std::string::npos);
 
+  // Duplicate name with a malformed CSV: the name is checked first, so the
+  // taken name is reported, not the CSV error.
+  std::optional<JsonValue> dup_bad = JsonValue::Parse(
+      service.HandleLine(RegisterLine("p", "label,current\nx")));
+  EXPECT_FALSE(dup_bad->Find("ok")->boolean());
+  EXPECT_NE(dup_bad->Find("error")->string().find("already registered"),
+            std::string::npos)
+      << dup_bad->Find("error")->string();
+
   // Malformed CSV.
   std::optional<JsonValue> bad =
       JsonValue::Parse(service.HandleLine(RegisterLine("q", "label,current\nx")));
@@ -677,6 +686,25 @@ TEST(PlanningService, RestartFromChangelogIsBitIdentical) {
   PlanningService third;
   ASSERT_TRUE(third.EnablePersistence(dir, &error)) << error;
   EXPECT_EQ(CleanedOf(ParseOk(third.HandleLine(line))), after_update);
+  std::filesystem::remove_all(dir);
+}
+
+// With persistence on, a name the changelog cannot store is refused before
+// the CSV is parsed, and nothing is registered under it.
+TEST(PlanningService, UnpersistableNameRejectedBeforeParsing) {
+  const std::string dir = TestChangelogDir("badname");
+  std::filesystem::remove_all(dir);
+  PlanningService service;
+  std::string error;
+  ASSERT_TRUE(service.EnablePersistence(dir, &error)) << error;
+  EXPECT_FALSE(
+      service.RegisterProblem(".hidden", "label,current\nx", {}, {}, &error));
+  EXPECT_NE(error.find("problem names must match"), std::string::npos)
+      << error;
+  std::optional<JsonValue> plan = JsonValue::Parse(
+      service.HandleLine(PlanLine(".hidden", "greedy_minvar", 1.0)));
+  EXPECT_NE(plan->Find("error")->string().find("unknown problem"),
+            std::string::npos);
   std::filesystem::remove_all(dir);
 }
 
