@@ -315,14 +315,22 @@ std::optional<PlanResult> Planner::TryPlan(const PlanRequest& request,
   ctx.greedy.incremental = incremental.get();
   ctx.greedy.stats_out = &result.stats;
   ctx.greedy.cancel = request.cancel;
-  // Persistent engine: same uses_objective gate as the incremental factory
-  // — the engine's retained objective mirrors PlanContext::objective, so
-  // only algorithms that greedy-drive it may run on the shared memo.
-  const bool shared_engine =
-      request.session_engine != nullptr && algo->uses_objective;
-  if (shared_engine) {
-    ctx.greedy.engine = request.session_engine;
+
+  // One engine per plan: the session engine, else a plan-local one built
+  // only when the algorithm drives the objective or a trajectory is due.
+  // Its objective mirrors PlanContext::objective, so it drives only
+  // uses_objective algorithms (the incremental factory's gate) and serves
+  // every algorithm's trajectory.
+  const bool trajectory_due =
+      request.with_trajectory &&
+      (custom || ScenarioCount(*request.query, *request.problem) <=
+                     kTrajectoryScenarioLimit);
+  std::optional<EvalEngine> local_engine;
+  EvalEngine* engine = request.session_engine;
+  if (engine == nullptr && (algo->uses_objective || trajectory_due)) {
+    engine = &local_engine.emplace(objective, ctx.direction, ctx.greedy.pool);
   }
+  if (algo->uses_objective) ctx.greedy.engine = engine;
 
   Stopwatch stopwatch;
   result.selection = algo->run(ctx);
@@ -341,12 +349,10 @@ std::optional<PlanResult> Planner::TryPlan(const PlanRequest& request,
     result.labels.push_back(request.problem->object(i).label);
   }
 
-  // Per-round trajectory: the objective re-evaluated on each prefix of the
-  // pick order, exact enumeration guarded by the scenario cap (a custom
-  // objective is the caller's scalable evaluator, so it is always used).
-  if (request.with_trajectory &&
-      (custom || ScenarioCount(*request.query, *request.problem) <=
-                     kTrajectoryScenarioLimit)) {
+  // Per-round trajectory: the objective on each prefix of the pick order,
+  // exact enumeration guarded by the scenario cap (a custom objective is
+  // the caller's scalable evaluator, so it is always used).
+  if (trajectory_due) {
     // Set-producing algorithms (brute_force, best_minvar) return no pick
     // order; walk their cleaned set in index order instead.
     const std::vector<int>& picks = result.selection.order.empty()
@@ -359,19 +365,10 @@ std::optional<PlanResult> Planner::TryPlan(const PlanRequest& request,
       prefixes.push_back(prefixes.back());
       prefixes.back().push_back(i);
     }
-    // All prefixes go through one engine batch (spread over the pool when
-    // threads > 1) instead of a serial objective loop.  A session engine
-    // that drove the selection also serves the trajectory, so repeat
-    // requests answer it from the cross-request memo; otherwise a local
-    // engine still dedupes the prefixes the selection already evaluated
-    // within this batch.
-    std::optional<EvalEngine> local_engine;
-    if (!shared_engine) {
-      local_engine.emplace(objective, ctx.direction, ctx.greedy.pool);
-    }
-    EvalEngine& trajectory_engine =
-        shared_engine ? *request.session_engine : *local_engine;
-    result.trajectory = trajectory_engine.EvaluateBatch(prefixes);
+    // One batch on the plan's engine (spread over the pool when
+    // threads > 1): prefixes the selection or an earlier request already
+    // evaluated are memo hits.
+    result.trajectory = engine->EvaluateBatch(prefixes);
     result.objective_value = result.trajectory.back();
     result.has_objective_value = true;
   }

@@ -79,15 +79,18 @@ struct PlanRequest {
   IncrementalFactory custom_incremental;
 
   // Optional persistent evaluation engine shared across requests (the
-  // serving layer's cross-request memo).  Attached to
-  // GreedyOptions::engine — only for algorithms whose registry entry sets
-  // uses_objective, for the same reason as custom_incremental above — and
-  // also used to evaluate the trajectory prefixes, so repeat requests on
-  // the same problem serve both the selection and the trajectory from
-  // cache.  The engine's retained objective must compute the same
-  // function as this request's objective, and its direction must match
-  // `objective`.  Borrowed; callers sharing one engine across threads
-  // must serialize requests (the engine aborts on concurrent API calls).
+  // serving layer's cross-request memo).  It is the plan's engine for
+  // the request's objective: attached to GreedyOptions::engine for
+  // algorithms whose registry entry sets uses_objective (for the same
+  // reason as custom_incremental above), and it evaluates every
+  // algorithm's trajectory prefixes, so a repeat request on the same
+  // problem serves both the selection and the trajectory from cache.
+  // Without one, TryPlan builds a plan-local engine when the algorithm
+  // drives the objective or a trajectory is due.  The engine's retained
+  // objective must compute the same function as this request's
+  // objective, and its direction must match `objective`.  Borrowed;
+  // callers sharing one engine across threads must serialize requests
+  // (the engine aborts on concurrent API calls).
   EvalEngine* session_engine = nullptr;
 
   ObjectiveKind objective = ObjectiveKind::kMinVar;
@@ -109,13 +112,14 @@ struct PlanRequest {
   const CancelToken* cancel = nullptr;
 
   EngineOptions engine;
-  // Re-evaluate the objective on every pick prefix for
-  // PlanResult::trajectory.  Skipped automatically when the exact
-  // objective is infeasible (see Planner::kTrajectoryScenarioLimit).
-  // This runs AFTER the timed selection (wall_seconds covers the
-  // algorithm only) and recomputes values the engine may already have
-  // seen — up to (picks + 1) extra objective evaluations; disable it for
-  // timing-sensitive sweeps (bench_engine does).
+  // Report the objective on every pick prefix as PlanResult::trajectory.
+  // Skipped automatically when the exact objective is infeasible (see
+  // Planner::kTrajectoryScenarioLimit).  The prefixes are one batch on the
+  // plan's engine (see session_engine), AFTER the timed selection
+  // (wall_seconds covers the algorithm only): the engine's batch greedy
+  // already memoized every prefix, and a warm session engine has them all
+  // from an earlier request, so only prefixes the engine has never seen
+  // cost an objective evaluation.
   bool with_trajectory = true;
 };
 

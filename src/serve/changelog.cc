@@ -46,7 +46,7 @@ bool GetIndex(const JsonValue& json, const char* key, int* out,
               std::string* error) {
   double number = 0.0;
   if (!GetNumber(json, key, &number, error)) return false;
-  if (number < 0 || number != std::floor(number) || number > 1e9) {
+  if (!IsIntegerIn(number, 0, 1e9)) {
     return Fail(error,
                 std::string("\"") + key + "\" must be a small non-negative "
                                           "integer");
@@ -315,8 +315,8 @@ bool DecodeSnapshot(const std::string& text, std::int64_t* seq,
   if (!json->is_object()) return Fail(error, "snapshot must be an object");
   double seq_number = 0.0;
   if (!GetNumber(*json, "seq", &seq_number, error)) return false;
-  if (seq_number < 0 || seq_number != std::floor(seq_number)) {
-    return Fail(error, "\"seq\" must be a non-negative integer");
+  if (!IsIntegerIn(seq_number, 0, kMaxSeq)) {
+    return Fail(error, "\"seq\" must be an integer in [0, 2^53]");
   }
   *seq = static_cast<std::int64_t>(seq_number);
   const JsonValue* csv_value = json->Find("csv");
@@ -330,8 +330,7 @@ bool DecodeSnapshot(const std::string& text, std::int64_t* seq,
   }
   refs->clear();
   for (const JsonValue& item : refs_value->array()) {
-    if (!item.is_number() || item.number() != std::floor(item.number()) ||
-        std::abs(item.number()) > 1e9) {
+    if (!item.is_number() || !IsIntegerIn(item.number(), -1e9, 1e9)) {
       return Fail(error, "\"refs\" must hold integers");
     }
     refs->push_back(static_cast<int>(item.number()));
@@ -384,8 +383,8 @@ bool ReplayChangelog(const std::string& log, std::int64_t base_seq,
     if (!GetNumber(*record, "seq", &seq_number, &parse_error)) {
       return Fail(error, where + ": " + parse_error);
     }
-    if (seq_number < 1 || seq_number != std::floor(seq_number)) {
-      return Fail(error, where + ": \"seq\" must be a positive integer");
+    if (!IsIntegerIn(seq_number, 1, kMaxSeq)) {
+      return Fail(error, where + ": \"seq\" must be an integer in [1, 2^53]");
     }
     const std::int64_t seq = static_cast<std::int64_t>(seq_number);
     if (seq <= previous_seq) {

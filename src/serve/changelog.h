@@ -69,6 +69,11 @@ void WriteDeltaJson(const ProblemDelta& delta, JsonWriter& writer);
 bool DeltaFromJson(const JsonValue& json, ProblemDelta* out,
                    std::string* error);
 
+// Largest sequence number a snapshot, a log record or an update's
+// idempotency_seq may carry: 2^53, the top of the range in which a JSON
+// number (a double) holds every integer exactly.
+constexpr double kMaxSeq = 0x1p53;
+
 // --- Snapshot codec -------------------------------------------------------
 
 // One-line snapshot document for a problem + its registered query as of

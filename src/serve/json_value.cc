@@ -1,6 +1,7 @@
 #include "serve/json_value.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/check.h"
@@ -334,6 +335,10 @@ class JsonParser {
 std::optional<JsonValue> JsonValue::Parse(const std::string& text,
                                           std::string* error) {
   return JsonParser(text).Parse(error);
+}
+
+bool IsIntegerIn(double number, double lo, double hi) {
+  return number >= lo && number <= hi && number == std::floor(number);
 }
 
 }  // namespace serve

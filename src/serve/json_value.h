@@ -64,6 +64,12 @@ class JsonValue {
   friend class JsonParser;
 };
 
+// True when `number` is an integer inside [lo, hi] (NaN and infinities
+// never are).  Protocol readers check a number with it before narrowing
+// it to an integer type: casting a double outside the target type's range
+// is undefined behaviour.
+bool IsIntegerIn(double number, double lo, double hi);
+
 }  // namespace serve
 }  // namespace factcheck
 

@@ -1,6 +1,8 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "core/ev.h"
@@ -41,6 +43,21 @@ bool ReadNumber(const JsonValue& request, const std::string& key, bool* found,
     return false;
   }
   *out = value->number();
+  return true;
+}
+
+// Reads an optional integer member inside [lo, hi]; false (with a
+// diagnostic) on a present member that is anything else.  The range is
+// checked on the double, before the caller narrows it (IsIntegerIn).
+bool ReadInteger(const JsonValue& request, const std::string& key, double lo,
+                 double hi, bool* found, double* out, std::string* error) {
+  if (!ReadNumber(request, key, found, out, error)) return false;
+  if (*found && !IsIntegerIn(*out, lo, hi)) {
+    char range[96];
+    std::snprintf(range, sizeof(range), "[%.0f, %.0f]", lo, hi);
+    *error = "\"" + key + "\" must be an integer in " + range;
+    return false;
+  }
   return true;
 }
 
@@ -286,8 +303,11 @@ std::string PlanningService::HandleRegister(const JsonValue& request) {
   if (const JsonValue* value = request.Find("refs")) {
     if (!value->is_array()) return ErrorResponse("\"refs\" must be an array");
     for (const JsonValue& item : value->array()) {
-      if (!item.is_number()) {
-        return ErrorResponse("\"refs\" must hold integers");
+      // Narrowed to int here; RegisterProblem bounds each ref by the
+      // object count once the CSV is parsed.
+      if (!item.is_number() ||
+          !IsIntegerIn(item.number(), 0, std::numeric_limits<int>::max())) {
+        return ErrorResponse("\"refs\" must hold integer object indices");
       }
       refs.push_back(static_cast<int>(item.number()));
     }
@@ -381,18 +401,18 @@ std::string PlanningService::HandlePlan(const JsonValue& request) {
   }
   plan.tau = tau;
   double seed = 0.0;
-  if (!ReadNumber(request, "seed", &found, &seed, &error)) {
+  // The largest double below 2^64: every seed up to it fits a uint64.
+  constexpr double kMaxSeed = 0x1.fffffffffffffp+63;
+  if (!ReadInteger(request, "seed", 0, kMaxSeed, &found, &seed, &error)) {
     return ErrorResponse(error);
   }
   if (found) plan.engine.seed = static_cast<std::uint64_t>(seed);
   double mc_samples = 0.0;
-  if (!ReadNumber(request, "mc_samples", &found, &mc_samples, &error)) {
+  if (!ReadInteger(request, "mc_samples", 1, std::numeric_limits<int>::max(),
+                   &found, &mc_samples, &error)) {
     return ErrorResponse(error);
   }
-  if (found) {
-    if (mc_samples < 1) return ErrorResponse("\"mc_samples\" must be >= 1");
-    plan.engine.mc_samples = static_cast<int>(mc_samples);
-  }
+  if (found) plan.engine.mc_samples = static_cast<int>(mc_samples);
   if (!ReadBool(request, "lazy", false, &plan.engine.lazy, &error) ||
       !ReadBool(request, "with_trajectory", true, &plan.with_trajectory,
                 &error)) {
@@ -476,7 +496,8 @@ std::string PlanningService::HandleUpdate(const JsonValue& request) {
   }
   bool has_idem = false;
   double idem_seq = 0.0;
-  if (!ReadNumber(request, "idempotency_seq", &has_idem, &idem_seq, &error)) {
+  if (!ReadInteger(request, "idempotency_seq", 1, kMaxSeq, &has_idem,
+                   &idem_seq, &error)) {
     return ErrorResponse(error);
   }
   std::optional<DeadlineToken> deadline;

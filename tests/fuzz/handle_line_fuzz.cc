@@ -8,8 +8,8 @@
 // Each input runs against a fresh service with one small registered
 // problem ("p"), so deep plan/update paths are reachable and no state
 // leaks between inputs.  Expensive knobs an attacker-controlled line
-// could turn (mc_samples) are capped before dispatch — the harness
-// bounds runtime, not behaviour.
+// could turn (mc_samples) are skipped before dispatch when the service
+// would accept them — the harness bounds runtime, not behaviour.
 //
 // Build modes match json_value_fuzz.cc: libFuzzer under Clang with
 // FACTCHECK_FUZZ_LIBFUZZER, otherwise the shared deterministic
@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -32,8 +33,10 @@ constexpr char kCsv[] =
     "c,12,2,11;12;14,0.25;0.5;0.25\n"
     "d,13,1.25,12;13;15,0.25;0.5;0.25\n";
 
-// Skip inputs that would merely be slow (huge Monte Carlo sample counts),
-// not interesting: runtime bounding, orthogonal to the crash contract.
+// Skip inputs that would merely be slow (large Monte Carlo sample counts
+// the service accepts), not interesting: runtime bounding, orthogonal to
+// the crash contract.  Counts the service rejects still run, so its range
+// check stays under fuzzing.
 bool TooExpensive(const std::string& line) {
   std::string error;
   std::optional<factcheck::serve::JsonValue> json =
@@ -41,7 +44,8 @@ bool TooExpensive(const std::string& line) {
   if (!json.has_value() || !json->is_object()) return false;
   const factcheck::serve::JsonValue* samples = json->Find("mc_samples");
   return samples != nullptr && samples->is_number() &&
-         samples->number() > 1024;
+         factcheck::serve::IsIntegerIn(samples->number(), 1025,
+                                       std::numeric_limits<int>::max());
 }
 
 }  // namespace

@@ -277,6 +277,27 @@ TEST(PlannerTest, TrajectoryIsPrefixObjectives) {
   EXPECT_GT(result.stats.evaluations, 0);
 }
 
+// A session-less engine greedy reads its trajectory from the memo its own
+// selection filled: every prefix of the pick order is a set the greedy
+// already evaluated, so the objective runs exactly the selection's
+// evaluations and never once more for the trajectory.
+TEST(PlannerTest, TrajectoryReadsTheSelectionsMemo) {
+  Fixture fx = Fixture::Make();
+  const SetObjective exact = MinVarObjective(fx.query, fx.problem);
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "plain");
+    std::int64_t calls = 0;
+    PlanRequest request = fx.Request(ObjectiveKind::kMinVar, 1, lazy);
+    request.custom_objective = [&](const std::vector<int>& cleaned) {
+      ++calls;
+      return exact(cleaned);
+    };
+    PlanResult result = Planner().Plan(request, "greedy_minvar");
+    ASSERT_EQ(result.trajectory.size(), result.selection.order.size() + 1);
+    EXPECT_EQ(calls, result.stats.evaluations);
+  }
+}
+
 TEST(PlannerTest, CustomObjectiveDrivesTheEngineAlgorithms) {
   Fixture fx = Fixture::Make();
   // A transparent modular objective: the negated sum of per-object

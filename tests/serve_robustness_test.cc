@@ -392,6 +392,34 @@ TEST(PlanningService, IdempotencySequencesDedupeRetriedBatches) {
   EXPECT_NE(ahead->Find("error")->string().find("ahead of the changelog"),
             std::string::npos);
 
+  // A sequence that is no integer in [1, 2^53] is an error too — never
+  // narrowed into one "behind the cursor" and acknowledged unapplied.
+  for (const char* seq : {"1e300", "0", "1.5"}) {
+    const std::string response = service.HandleLine(
+        std::string("{\"op\":\"update\",\"problem\":\"p\","
+                    "\"idempotency_seq\":") +
+        seq + ",\"deltas\":[" + DeltaJson(ProblemDelta::SetCost(2, 7.0)) +
+        "]}");
+    std::optional<JsonValue> bad = JsonValue::Parse(response);
+    ASSERT_TRUE(bad.has_value()) << response;
+    const JsonValue* message = bad->Find("error");
+    EXPECT_FALSE(bad->Find("ok")->boolean()) << response;
+    EXPECT_TRUE(message != nullptr &&
+                message->string().find(
+                    "\"idempotency_seq\" must be an integer") !=
+                    std::string::npos)
+        << response;
+    JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+    EXPECT_EQ(stats.Find("stats")
+                  ->Find("problems")
+                  ->array()[0]
+                  .Find("epoch")
+                  ->number(),
+              2.0)
+        << response;
+  }
+  EXPECT_EQ(RobustnessStat(service, "idempotent_replays"), 1);
+
   // The next in-order sequence still lands.
   JsonValue next = ParseOk(service.HandleLine(
       "{\"op\":\"update\",\"problem\":\"p\",\"idempotency_seq\":3,"

@@ -28,6 +28,7 @@
 #include "core/planner.h"
 #include "core/problem.h"
 #include "core/query_function.h"
+#include "core/registry.h"
 #include "data/problem_io.h"
 #include "dist/planes.h"
 #include "serve/changelog.h"
@@ -118,6 +119,40 @@ std::int64_t StatOf(const JsonValue& plan_response, const std::string& key) {
   return static_cast<std::int64_t>(
       plan_response.Find("result")->Find("stats")->Find(key)->number());
 }
+
+std::vector<double> TrajectoryOf(const JsonValue& plan_response) {
+  std::vector<double> out;
+  for (const JsonValue& item :
+       plan_response.Find("result")->Find("trajectory")->array()) {
+    out.push_back(item.number());
+  }
+  return out;
+}
+
+// Lifetime counter `key` of the first problem's minvar session engine, as
+// the stats verb reports it.
+std::int64_t MinVarEngineStat(PlanningService& service,
+                              const std::string& key) {
+  JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  for (const JsonValue& engine : stats.Find("stats")
+                                     ->Find("problems")
+                                     ->array()[0]
+                                     .Find("engines")
+                                     ->array()) {
+    if (engine.Find("objective")->string() == "minvar") {
+      return static_cast<std::int64_t>(engine.Find(key)->number());
+    }
+  }
+  ADD_FAILURE() << "no minvar engine";
+  return -1;
+}
+
+// MinVar algorithms the equivalence and warm-engine tests serve: the exact
+// greedy that drives the session engine, and three that never touch it
+// during selection (closed form, knapsack DP, static greedy).
+const char* const kServedMinVarAlgos[] = {
+    "greedy_minvar", "greedy_minvar_linear", "knapsack_dp_minvar",
+    "greedy_naive"};
 
 // --- JsonValue -------------------------------------------------------------
 
@@ -293,6 +328,28 @@ TEST(PlanningService, RegisterErrorPaths) {
   std::string error;
   EXPECT_FALSE(service.RegisterProblem("r", csv, {0, 99}, {}, &error));
   EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+
+  // A ref no int can hold is rejected before it is narrowed.
+  JsonWriter huge_ref;
+  huge_ref.BeginObject()
+      .Key("op")
+      .String("register")
+      .Key("problem")
+      .String("s")
+      .Key("csv")
+      .String(csv)
+      .Key("refs")
+      .BeginArray()
+      .Number(1e10)
+      .EndArray()
+      .EndObject();
+  std::optional<JsonValue> huge =
+      JsonValue::Parse(service.HandleLine(huge_ref.str()));
+  EXPECT_FALSE(huge->Find("ok")->boolean());
+  EXPECT_NE(huge->Find("error")->string().find("\"refs\""),
+            std::string::npos)
+      << huge->Find("error")->string();
+  EXPECT_FALSE(service.HasProblem("s"));
 }
 
 TEST(PlanningService, PlanErrorPaths) {
@@ -316,6 +373,15 @@ TEST(PlanningService, PlanErrorPaths) {
       "{\"op\":\"plan\",\"problem\":\"p\",\"algo\":\"greedy_minvar\","
       "\"budget\":\"two\"}",
       "must be a number");
+  // Numbers outside the integer type they are narrowed to.
+  expect_error(
+      "{\"op\":\"plan\",\"problem\":\"p\",\"algo\":\"mc_greedy_minvar\","
+      "\"budget\":2,\"mc_samples\":1e10}",
+      "\"mc_samples\" must be an integer");
+  expect_error(
+      "{\"op\":\"plan\",\"problem\":\"p\",\"algo\":\"random\","
+      "\"budget\":2,\"seed\":-1}",
+      "\"seed\" must be an integer");
   // Errors leave the service usable.
   ParseOk(service.HandleLine(PlanLine("p", "greedy_minvar", 2.0)));
 }
@@ -323,7 +389,8 @@ TEST(PlanningService, PlanErrorPaths) {
 // --- PlanningService: equivalence + cache reuse ----------------------------
 
 // A served plan is bit-identical to the one-shot Planner path on the same
-// problem/query/budget — selection, cost, objective value, trajectory.
+// problem/query/budget — selection, cost, objective value, trajectory —
+// whether or not the algorithm drives the session engine.
 TEST(PlanningService, PlanMatchesOneShotPlanner) {
   CleaningProblem problem = MakeProblem();
   std::vector<int> refs(problem.size());
@@ -336,50 +403,67 @@ TEST(PlanningService, PlanMatchesOneShotPlanner) {
   request.linear_query = &query;
   request.budget = 3.0;
   Planner planner;
-  PlanResult oracle = planner.Plan(request, "greedy_minvar");
+  for (const char* algo : kServedMinVarAlgos) {
+    SCOPED_TRACE(algo);
+    PlanResult oracle = planner.Plan(request, algo);
 
-  PlanningService service;
-  ParseOk(service.HandleLine(RegisterLine("p", data::ProblemToCsv(problem))));
-  JsonValue response =
-      ParseOk(service.HandleLine(PlanLine("p", "greedy_minvar", 3.0)));
+    PlanningService service;
+    ParseOk(
+        service.HandleLine(RegisterLine("p", data::ProblemToCsv(problem))));
+    JsonValue response = ParseOk(service.HandleLine(PlanLine("p", algo, 3.0)));
 
-  EXPECT_EQ(CleanedOf(response),
-            std::vector<int>(oracle.selection.cleaned.begin(),
-                             oracle.selection.cleaned.end()));
-  const JsonValue* result = response.Find("result");
-  EXPECT_EQ(result->Find("selection")->Find("cost")->number(),
-            oracle.selection.cost);
-  EXPECT_EQ(result->Find("objective_value")->number(),
-            oracle.objective_value);
-  const std::vector<JsonValue>& trajectory =
-      result->Find("trajectory")->array();
-  ASSERT_EQ(trajectory.size(), oracle.trajectory.size());
-  for (size_t i = 0; i < trajectory.size(); ++i) {
-    EXPECT_EQ(trajectory[i].number(), oracle.trajectory[i]);  // bit-exact
+    EXPECT_EQ(CleanedOf(response),
+              std::vector<int>(oracle.selection.cleaned.begin(),
+                               oracle.selection.cleaned.end()));
+    const JsonValue* result = response.Find("result");
+    EXPECT_EQ(result->Find("selection")->Find("cost")->number(),
+              oracle.selection.cost);
+    EXPECT_EQ(result->Find("objective_value")->number(),
+              oracle.objective_value);
+    EXPECT_EQ(TrajectoryOf(response), oracle.trajectory);  // bit-exact
+    // First request on a cold service engine does the same evaluation
+    // work as the one-shot path.
+    EXPECT_EQ(StatOf(response, "evaluations"), oracle.stats.evaluations);
   }
-  // First request on a cold service engine does the same evaluation work
-  // as the one-shot path.
-  EXPECT_EQ(StatOf(response, "evaluations"), oracle.stats.evaluations);
 }
 
 TEST(PlanningService, RepeatRequestsServeFromTheWarmEngine) {
   CleaningProblem problem = MakeProblem();
-  PlanningService service;
-  ParseOk(service.HandleLine(RegisterLine("p", data::ProblemToCsv(problem))));
+  for (const char* algo : kServedMinVarAlgos) {
+    SCOPED_TRACE(algo);
+    PlanningService service;
+    ParseOk(
+        service.HandleLine(RegisterLine("p", data::ProblemToCsv(problem))));
 
-  const std::string line = PlanLine("p", "greedy_minvar", 3.0);
-  JsonValue first = ParseOk(service.HandleLine(line));
-  JsonValue second = ParseOk(service.HandleLine(line));
+    const std::string line = PlanLine("p", algo, 3.0);
+    JsonValue first = ParseOk(service.HandleLine(line));
+    const std::int64_t evaluations =
+        MinVarEngineStat(service, "evaluations");
+    const std::int64_t cache_hits = MinVarEngineStat(service, "cache_hits");
+    JsonValue second = ParseOk(service.HandleLine(line));
 
-  EXPECT_EQ(CleanedOf(second), CleanedOf(first));
-  EXPECT_EQ(first.Find("requests")->number(), 1.0);
-  EXPECT_EQ(second.Find("requests")->number(), 2.0);
-  // The tentpole property: the second request's evaluation count is
-  // frozen (every set it probes is already memoized) while cache hits
-  // keep growing.
-  EXPECT_EQ(StatOf(second, "evaluations"), StatOf(first, "evaluations"));
-  EXPECT_GT(StatOf(second, "cache_hits"), StatOf(first, "cache_hits"));
-  EXPECT_EQ(service.total_requests(), 2);
+    EXPECT_EQ(CleanedOf(second), CleanedOf(first));
+    EXPECT_EQ(TrajectoryOf(second), TrajectoryOf(first));
+    EXPECT_EQ(first.Find("requests")->number(), 1.0);
+    EXPECT_EQ(second.Find("requests")->number(), 2.0);
+    // The property the service exists for: the repeat evaluates no new
+    // set — neither a selection probe nor a trajectory prefix — while
+    // cache hits keep growing: one per prefix, after the hits of the
+    // selection itself when the algorithm drives the engine (its stats
+    // are the engine's counters right after the selection).
+    EXPECT_EQ(MinVarEngineStat(service, "evaluations"), evaluations);
+    const bool drives_engine =
+        AlgorithmRegistry::Global().Find(algo)->uses_objective;
+    const std::int64_t selection_hits =
+        drives_engine ? StatOf(second, "cache_hits") - cache_hits : 0;
+    if (drives_engine) {
+      EXPECT_GT(selection_hits, 0);
+    }
+    EXPECT_EQ(MinVarEngineStat(service, "cache_hits") - cache_hits,
+              selection_hits +
+                  static_cast<std::int64_t>(TrajectoryOf(second).size()));
+    EXPECT_EQ(service.total_requests(), 2);
+  }
 }
 
 TEST(PlanningService, StatsDocumentAggregatesPerProblem) {
