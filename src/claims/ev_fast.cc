@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <queue>
 #include <set>
 
-#include "core/engine.h"
 #include "dist/planes.h"
 #include "util/check.h"
 
@@ -697,9 +695,11 @@ int ClaimEvEvaluator::MaxClaimDegree() const {
 // The engine-pluggable face of the evaluator's benefit maintenance: the
 // committed cleaned set lives here (is_cleaned_ plus the cached term
 // values), a probe is one Benefit() call over object i's claim/pair
-// footprint, and a commit refreshes exactly the terms i participates in.
-// Value() re-sums the cached terms in ClaimEvEvaluator::EV's accumulation
-// order, so it is bit-equal to the batch EV of the same set.
+// footprint, a commit refreshes exactly the terms i participates in, and
+// Footprint names the objects sharing one of those terms — the only ones
+// whose benefit the commit can move.  Value() re-sums the cached terms in
+// ClaimEvEvaluator::EV's generic accumulation order on demand (an O(m)
+// pass the engine makes only for the final check, not on every commit).
 class ClaimIncrementalObjective final : public IncrementalObjective {
  public:
   explicit ClaimIncrementalObjective(const ClaimEvEvaluator* evaluator)
@@ -730,12 +730,14 @@ class ClaimIncrementalObjective final : public IncrementalObjective {
     for (int p = 0; p < static_cast<int>(ev_->pairs_.size()); ++p) {
       ecov_terms_[p] = ev_->ECovTerm(p, is_cleaned_);
     }
-    RecomputeValue();
   }
 
   double Value() const override {
     FC_CHECK(ready_);
-    return value_;
+    double ev = 0.0;
+    for (double t : evar_terms_) ev += t;
+    for (double t : ecov_terms_) ev += 2.0 * t;
+    return ev;
   }
 
   double ProbeGain(int i) override {
@@ -754,157 +756,33 @@ class ClaimIncrementalObjective final : public IncrementalObjective {
     for (int p : ev_->object_pairs_[i]) {
       ecov_terms_[p] = ev_->ECovTerm(p, is_cleaned_);
     }
-    RecomputeValue();
+  }
+
+  bool Footprint(int i, std::vector<int>* out) const override {
+    out->clear();
+    for (int k : ev_->object_claims_[i]) {
+      for (const auto& c : ev_->claim_components_[k]) out->push_back(c.object);
+    }
+    for (int p : ev_->object_pairs_[i]) {
+      const std::vector<int>& members = ev_->pair_members_[p];
+      out->insert(out->end(), members.begin(), members.end());
+    }
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+    return true;
   }
 
  private:
-  void RecomputeValue() {
-    double ev = 0.0;
-    for (double t : evar_terms_) ev += t;
-    for (double t : ecov_terms_) ev += 2.0 * t;
-    value_ = ev;
-  }
-
   const ClaimEvEvaluator* ev_;
   std::vector<bool> is_cleaned_;
   std::vector<double> evar_terms_;
   std::vector<double> ecov_terms_;
-  double value_ = 0.0;
   bool ready_ = false;  // Reset() must run before the first use
 };
 
 std::unique_ptr<IncrementalObjective> ClaimEvEvaluator::MakeIncremental()
     const {
   return std::make_unique<ClaimIncrementalObjective>(this);
-}
-
-Selection ClaimEvEvaluator::GreedyMinVar(double budget) const {
-  return GreedyMinVar(budget, GreedyOptions{});
-}
-
-Selection ClaimEvEvaluator::GreedyMinVar(double budget,
-                                         const GreedyOptions& options) const {
-  RefreshIfStale();
-  int n = problem_->size();
-  // Incremental-work counters surfaced through options.stats_out: every
-  // per-claim / per-pair term (re)computation counts as one evaluation —
-  // the unit of work Theorem 3.8's locality argument bounds — while
-  // Benefit() calls and picks map onto the engine's probe/commit
-  // counters.  Kernel work is reported as the delta of the evaluator's
-  // lifetime counters over this run.
-  const KernelCounters kernel_before = counters_;
-  std::int64_t term_evaluations = 0;
-  std::int64_t probes = 0;
-  std::int64_t commits = 0;
-  std::vector<bool> is_cleaned(n, false);
-  std::vector<double> evar_terms(context_->size());
-  for (int k = 0; k < context_->size(); ++k) {
-    evar_terms[k] = EVarTerm(k, is_cleaned);
-    ++term_evaluations;
-  }
-  std::vector<double> ecov_terms(pairs_.size());
-  for (int p = 0; p < static_cast<int>(pairs_.size()); ++p) {
-    ecov_terms[p] = ECovTerm(p, is_cleaned);
-    ++term_evaluations;
-  }
-  double ev0 = 0.0;
-  for (double t : evar_terms) ev0 += t;
-  for (double t : ecov_terms) ev0 += 2.0 * t;
-
-  // Heap of (score, version, object); stale versions are skipped on pop.
-  struct Entry {
-    double score;
-    int version;
-    int object;
-    bool operator<(const Entry& other) const { return score < other.score; }
-  };
-  std::priority_queue<Entry> heap;
-  std::vector<int> version(n, 0);
-  std::vector<double> benefit(n, 0.0);
-  std::vector<double> initial_benefit(n, 0.0);
-  const std::vector<double> costs = problem_->Costs();
-  for (int i = 0; i < n; ++i) {
-    if (object_claims_[i].empty() && object_pairs_[i].empty()) continue;
-    benefit[i] = Benefit(i, is_cleaned, evar_terms, ecov_terms);
-    ++probes;
-    initial_benefit[i] = benefit[i];
-    double score = options.cost_aware ? benefit[i] / costs[i] : benefit[i];
-    heap.push({score, 0, i});
-  }
-
-  Selection sel;
-  double ev_current = ev0;
-  while (!heap.empty()) {
-    Entry top = heap.top();
-    heap.pop();
-    int i = top.object;
-    if (top.version != version[i] || is_cleaned[i]) continue;
-    // Remaining budget only shrinks, so an unaffordable object stays
-    // unaffordable and can be dropped for good.
-    if (sel.cost + costs[i] > budget) continue;
-    // Select i.
-    is_cleaned[i] = true;
-    sel.cleaned.push_back(i);
-    sel.cost += costs[i];
-    ++commits;
-    ev_current -= benefit[i];
-    // Refresh the terms i participates in, then the benefits of every
-    // object sharing one of those terms (locality of Theorem 3.8).
-    std::set<int> dirty_objects;
-    for (int k : object_claims_[i]) {
-      evar_terms[k] = EVarTerm(k, is_cleaned);
-      ++term_evaluations;
-      for (const Component& c : claim_components_[k]) {
-        dirty_objects.insert(c.object);
-      }
-    }
-    for (int p : object_pairs_[i]) {
-      ecov_terms[p] = ECovTerm(p, is_cleaned);
-      ++term_evaluations;
-      const Pair& pair = pairs_[p];
-      for (const auto& c : pair.shared) dirty_objects.insert(c.object);
-      for (const auto& c : pair.exclusive1) dirty_objects.insert(c.object);
-      for (const auto& c : pair.exclusive2) dirty_objects.insert(c.object);
-    }
-    for (int obj : dirty_objects) {
-      if (is_cleaned[obj]) continue;
-      benefit[obj] = Benefit(obj, is_cleaned, evar_terms, ecov_terms);
-      ++probes;
-      ++version[obj];
-      double score =
-          options.cost_aware ? benefit[obj] / costs[obj] : benefit[obj];
-      heap.push({score, version[obj], obj});
-    }
-  }
-
-  if (options.final_check && !sel.cleaned.empty()) {
-    // Algorithm 1 lines 5-8 via cached initial benefits:
-    // EV({l}) = EV(empty) - initial_benefit[l].
-    int best = -1;
-    for (int i = 0; i < n; ++i) {
-      if (is_cleaned[i] || costs[i] > budget) continue;
-      if (best < 0 || initial_benefit[i] > initial_benefit[best]) best = i;
-    }
-    if (best >= 0 && ev0 - initial_benefit[best] < ev_current) {
-      sel.cleaned = {best};
-      sel.cost = costs[best];
-    }
-  }
-  sel.order = sel.cleaned;
-  std::sort(sel.cleaned.begin(), sel.cleaned.end());
-  if (options.stats_out != nullptr) {
-    // Assign the whole struct so every exit — including the degenerate
-    // budget-0 / no-referenced-object cases that never enter the heap
-    // loop — reports a fully defined EngineStats.
-    EngineStats stats;
-    stats.evaluations = term_evaluations;
-    stats.probes = probes;
-    stats.commits = commits;
-    stats.kernel_calls = counters_.calls - kernel_before.calls;
-    stats.kernel_atoms = counters_.atoms - kernel_before.atoms;
-    *options.stats_out = stats;
-  }
-  return sel;
 }
 
 }  // namespace factcheck

@@ -1,5 +1,6 @@
 // Structured expected-variance evaluation for claim-quality measures
-// (Theorem 3.8) and the incremental GreedyMinVar built on it.
+// (Theorem 3.8) and the incremental objective that drives the engine's
+// GreedyMinVar with it.
 //
 // For a quality measure f(X) = sum_k g_k(q_k(X)) over linear claims with
 // mutually independent X, the MinVar objective decomposes as
@@ -16,8 +17,10 @@
 //
 // The evaluator also powers a scalable greedy: cleaning object i only
 // changes the terms of claims/pairs referencing i, so per-object benefits
-// are maintained incrementally and selection runs near-linearly in the
-// number of cleanings (the Fig 10 efficiency experiments).
+// are maintained incrementally (MakeIncremental), the engine re-probes
+// only the objects sharing a term with each pick, and selection runs
+// near-linearly in the number of cleanings (the Fig 10 efficiency
+// experiments).
 //
 // Data path: the evaluator reads the problem's shared SoA distribution
 // planes (CleaningProblem::planes()) and computes every term through the
@@ -34,7 +37,6 @@
 #include <vector>
 
 #include "claims/quality.h"
-#include "core/greedy.h"
 #include "core/incremental.h"
 #include "core/problem.h"
 #include "dist/kernels.h"
@@ -55,8 +57,8 @@ class ClaimEvEvaluator {
                        StrengthDirection::kHigherIsStronger);
 
   // Deterministic kernel-work counters (calls + atoms) accumulated over
-  // this evaluator's lifetime; GreedyMinVar reports per-run deltas
-  // through GreedyOptions::stats_out.
+  // this evaluator's lifetime; the claims_greedy_minvar workload entry
+  // reports a fresh evaluator's totals as its plan's kernel counters.
   const KernelCounters& kernel_counters() const { return counters_; }
 
   // EV(T): exact expected posterior variance of the measure.
@@ -69,19 +71,17 @@ class ClaimEvEvaluator {
   // distributions (cleaned objects should already be point masses).
   QualityMoments Moments() const;
 
-  // Adaptive greedy (Algorithm 1) with incremental benefit maintenance.
-  Selection GreedyMinVar(double budget) const;
-  Selection GreedyMinVar(double budget, const GreedyOptions& options) const;
-
-  // The same benefit maintenance packaged as an engine-pluggable
+  // Incremental benefit maintenance packaged as an engine-pluggable
   // IncrementalObjective (core/incremental.h): ProbeGain(i) refreshes
-  // only the claim/pair terms referencing i (Theorem 3.8's locality), so
+  // only the claim/pair terms referencing i, and Footprint(i) names the
+  // objects sharing one of those terms (Theorem 3.8's locality), so
   // EvalEngine's greedy drivers — and through them every Planner
-  // algorithm that consumes a SetObjective — run at the bespoke greedy's
-  // cost instead of one full EV per candidate.  The instance shares this
-  // evaluator's memoized term caches; the caches are not locked, so do
-  // not drive it concurrently with other EV() callers.  The evaluator
-  // must outlive the returned objective.
+  // algorithm that consumes a SetObjective — re-probe O(Δ) objects per
+  // pick instead of evaluating one full EV per candidate.  This is the
+  // Algorithm-1 GreedyMinVar of the claims workloads.  The instance
+  // shares this evaluator's memoized term caches; the caches are not
+  // locked, so do not drive it concurrently with other EV() callers.  The
+  // evaluator must outlive the returned objective.
   std::unique_ptr<IncrementalObjective> MakeIncremental() const;
 
   // Number of claim pairs with overlapping references (covariance terms).
@@ -95,8 +95,8 @@ class ClaimEvEvaluator {
   int NumClaimsReferencing(int object) const;
 
   // Epoch resynchronization with the underlying problem, run by every
-  // public evaluation entry point (EV, Moments, GreedyMinVar, and the
-  // incremental objective's Reset): if the problem mutated since this
+  // public evaluation entry point (EV, Moments, and the incremental
+  // objective's Reset): if the problem mutated since this
   // evaluator last looked (CleaningProblem::epoch), the touched term
   // caches, the planes snapshot and the EVFast base values are refreshed
   // before any value is served.  A distribution change to object i

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "claims/ev_fast.h"
+#include "core/greedy.h"
 
 namespace factcheck {
 

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
 
 #include "core/problem.h"
@@ -602,119 +603,105 @@ Selection EvalEngine::GreedyIncremental(const std::vector<double>& costs,
 
   inc->Reset({});
   ++stats_.evaluations;  // one full-objective build
-  const double value0 = inc->Value();
-  double current = value0;
+  // Value() is read only by the final check (see core/incremental.h).
+  const double value0 = options.final_check ? inc->Value() : 0.0;
 
-  // First-round singleton values, remembered for the Algorithm-1 final
-  // check: the first round (plain) / the seeding round (lazy) probes
-  // exactly the affordable singletons, which are exactly the final
-  // check's candidates, so no re-probing from the empty set is needed.
-  std::vector<double> singleton_value(n, 0.0);
-  std::vector<bool> singleton_seen(n, false);
-
+  // One heap serves both modes.  An entry holds a gain probed against the
+  // set as of version[index]; a commit bumps the version of every untaken
+  // object in its footprint.  Plain mode re-probes those objects before
+  // the next pick, so a stale entry is a superseded duplicate; lazy
+  // (CELF) mode re-probes a stale entry only when it reaches the top,
+  // where under submodularity its stale score bounds the fresh one.
+  // Entries outside the footprint stay fresh because their gains are
+  // bitwise unchanged, so both modes select what a full re-probe would.
+  // Ties break toward the lower index, matching an ascending scan.
+  struct Entry {
+    double score;
+    double gain;
+    int index;
+    int version;
+  };
+  auto worse = [](const Entry& a, const Entry& b) {
+    if (a.score != b.score) return a.score < b.score;
+    return a.index > b.index;
+  };
+  std::vector<Entry> heap;
+  std::vector<int> version(n, 0);
   auto probe = [&](int i) {
     double gain = inc->ProbeGain(i);
     ++stats_.probes;
+    double benefit = sign * gain;
+    heap.push_back({options.cost_aware ? benefit / costs[i] : benefit, gain,
+                    i, version[i]});
+    std::push_heap(heap.begin(), heap.end(), worse);
     return gain;
   };
-  auto score_from_gain = [&](double gain, int i) {
-    double benefit = sign * gain;
-    return options.cost_aware ? benefit / costs[i] : benefit;
-  };
-  auto commit = [&](int pick) {
+
+  // Objects to probe before the next pick: every affordable singleton
+  // first (their gains are remembered for the Algorithm-1 final check,
+  // whose candidates they are exactly), then each plain-mode footprint.
+  std::vector<int> dirty;
+  for (int i = 0; i < n; ++i) {
+    if (costs[i] <= budget) dirty.push_back(i);
+  }
+  std::vector<double> singleton_gain(n, 0.0);
+  std::vector<int> footprint;
+  while (true) {
+    if (options.cancel != nullptr && options.cancel->Cancelled()) {
+      cancelled = true;
+      break;
+    }
+    for (int i : dirty) {
+      if (taken[i] || sel.cost + costs[i] > budget) continue;
+      double gain = probe(i);
+      if (sel.cleaned.empty()) singleton_gain[i] = gain;
+    }
+    dirty.clear();
+    int pick = -1;
+    double pick_gain = 0.0;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), worse);
+      const Entry e = heap.back();
+      heap.pop_back();
+      // The accumulated cost only grows, so an unaffordable candidate
+      // can be dropped permanently.
+      if (taken[e.index] || sel.cost + costs[e.index] > budget) continue;
+      if (e.version == version[e.index]) {
+        pick = e.index;
+        pick_gain = e.gain;
+        break;
+      }
+      if (lazy) probe(e.index);
+    }
+    if (pick < 0) break;  // nothing affordable remains
+    if (stop_when_no_gain && sign * pick_gain <= 0.0) break;
     taken[pick] = true;
     sel.cleaned.push_back(pick);
     sel.cost += costs[pick];
     inc->Commit(pick);
     ++stats_.commits;
-    current = inc->Value();
-  };
-
-  if (!lazy) {
-    bool first_round = true;
-    while (true) {
-      if (options.cancel != nullptr && options.cancel->Cancelled()) {
-        cancelled = true;
-        break;
-      }
-      int best = -1;
-      double best_score = 0.0, best_gain = 0.0;
-      for (int i = 0; i < n; ++i) {
-        if (taken[i] || sel.cost + costs[i] > budget) continue;
-        double gain = probe(i);
-        if (first_round) {
-          singleton_value[i] = value0 + gain;
-          singleton_seen[i] = true;
-        }
-        double score = score_from_gain(gain, i);
-        if (best < 0 || score > best_score) {
-          best = i;
-          best_score = score;
-          best_gain = gain;
-        }
-      }
-      first_round = false;
-      if (best < 0) break;  // nothing affordable remains
-      if (stop_when_no_gain && sign * best_gain <= 0.0) break;
-      commit(best);
+    if (!inc->Footprint(pick, &footprint)) {  // every object
+      footprint.resize(n);
+      std::iota(footprint.begin(), footprint.end(), 0);
+      if (!lazy) heap.clear();  // every entry is about to be superseded
     }
-  } else {
-    struct Entry {
-      double score;
-      double gain;
-      int index;
-      int gen;
-    };
-    auto worse = [](const Entry& a, const Entry& b) {
-      if (a.score != b.score) return a.score < b.score;
-      return a.index > b.index;
-    };
-    std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> heap(
-        worse);
-    for (int i = 0; i < n; ++i) {
-      if (costs[i] > budget) continue;
-      double gain = probe(i);
-      singleton_value[i] = value0 + gain;
-      singleton_seen[i] = true;
-      heap.push({score_from_gain(gain, i), gain, i, 0});
-    }
-    int gen = 0;
-    while (true) {
-      if (options.cancel != nullptr && options.cancel->Cancelled()) {
-        cancelled = true;
-        break;
-      }
-      int pick = -1;
-      double pick_gain = 0.0;
-      while (!heap.empty()) {
-        Entry e = heap.top();
-        heap.pop();
-        if (taken[e.index] || sel.cost + costs[e.index] > budget) continue;
-        if (e.gen == gen) {
-          pick = e.index;
-          pick_gain = e.gain;
-          break;
-        }
-        double gain = probe(e.index);
-        heap.push({score_from_gain(gain, e.index), gain, e.index, gen});
-      }
-      if (pick < 0) break;
-      if (stop_when_no_gain && sign * pick_gain <= 0.0) break;
-      commit(pick);
-      ++gen;
+    for (int i : footprint) {
+      if (taken[i]) continue;
+      ++version[i];
+      if (!lazy) dirty.push_back(i);
     }
   }
 
   if (options.final_check && !cancelled && !sel.cleaned.empty()) {
+    const double current = inc->Value();
     int best = -1;
     double best_value = 0.0;
     for (int i = 0; i < n; ++i) {
       if (taken[i] || costs[i] > budget) continue;
-      // Any affordable un-taken object was a first-round candidate.
-      FC_CHECK(singleton_seen[i]);
-      if (best < 0 || sign * singleton_value[i] > sign * best_value) {
+      const double value = value0 + singleton_gain[i];
+      if (best < 0 || sign * value > sign * best_value) {
         best = i;
-        best_value = singleton_value[i];
+        best_value = value;
       }
     }
     if (best >= 0 && sign * best_value > sign * current) {

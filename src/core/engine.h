@@ -25,22 +25,27 @@
 //     reaches the top of the heap, which on submodular objectives selects
 //     exactly the plain greedy's set with far fewer evaluations;
 //   * incremental objectives — when GreedyOptions::incremental attaches an
-//     IncrementalObjective (core/incremental.h), both greedy drivers
+//     IncrementalObjective (core/incremental.h), both greedy entry points
 //     switch from batch probes to the O(Δ) protocol:
 //
 //       Reset({})      once per selection (counted as one evaluation),
 //       ProbeGain(i)   per candidate probe (counted in stats().probes),
 //       Commit(i)      per pick            (counted in stats().commits),
-//       Value()        the running objective, consistent with the batch
-//                      SetObjective,
+//       Footprint(i)   after each pick: the candidates to re-probe,
+//       Value()        the objective, read only by the final check,
 //
 //     selecting the same set, in the same order, as the batch path — the
 //     incremental-equivalence suite pins this across thread counts and
-//     lazy modes.  The final single-item check reuses the first round's
-//     singleton probes, so the incremental path performs no batch
-//     evaluation at all.  Without an attached incremental objective the
-//     drivers run the batch path unchanged (bit-identical to the
-//     pre-incremental engine).
+//     lazy modes.  Plain and lazy share one heap loop: a pick marks only
+//     its footprint stale (Theorem 3.8's locality on claim workloads),
+//     plain mode re-probes the stale candidates at once and lazy mode
+//     when they reach the top.  The final single-item check reuses the
+//     first round's singleton probes, so the incremental path performs no
+//     batch evaluation at all.  Without an attached incremental objective
+//     the greedy runs the batch path unchanged.  The batch path keeps its
+//     own plain scan and CELF loops: a batch round is one pooled
+//     EvaluateExtensions call with no footprint to exploit, and the scan
+//     is the cheaper loop for the small warm plans the service runs.
 //
 // The engine itself is single-writer at the API level: exactly one thread
 // may be inside a public evaluation/greedy call at a time (nested calls
@@ -199,9 +204,9 @@ class EvalEngine {
                           std::vector<double>* out);
 
   // The Algorithm-1 adaptive greedy, evaluating every remaining candidate
-  // each round (as one engine batch, or as one incremental probe sweep
-  // when options.incremental is set).  Behaviourally identical to the
-  // pre-engine private loops.
+  // each round as one engine batch — or, when options.incremental is set,
+  // re-probing only the candidates whose gain the last pick may have
+  // moved.  Behaviourally identical to the pre-engine private loops.
   Selection PlainGreedy(const std::vector<double>& costs, double budget,
                         const GreedyOptions& options = {});
 

@@ -79,11 +79,8 @@ struct GreedyOptions {
   // When set, the engine-backed drivers copy their EvalEngine's final
   // counters here (evaluations / cache hits / incremental probes and
   // commits / key bytes hashed) on EVERY exit path, including the
-  // empty-candidate and no-gain early breaks.  The incremental claims
-  // greedy (ClaimEvEvaluator::GreedyMinVar) also reports through it,
-  // writing its per-claim/pair term recomputation count as `evaluations`
-  // and its benefit probes/picks as `probes`/`commits`; other engine-free
-  // algorithms leave it untouched.  Borrowed, must outlive the call.
+  // empty-candidate and no-gain early breaks; engine-free algorithms
+  // leave it untouched.  Borrowed, must outlive the call.
   EngineStats* stats_out = nullptr;
   // Optional cooperative cancellation (util/cancel.h), polled by the
   // engine-backed drivers at round boundaries — before the initial

@@ -58,6 +58,12 @@ class ModularIncremental final : public IncrementalObjective {
     Recompute();
   }
 
+  bool Footprint(int i, std::vector<int>* out) const override {
+    (void)i;
+    out->clear();  // a probe never reads T
+    return true;
+  }
+
  private:
   // Same accumulation as the batch remaining-variance metric: uncleaned
   // weights summed in index order, so Value() is bit-equal to it.

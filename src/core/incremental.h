@@ -15,6 +15,13 @@
 //                  whenever the terms themselves are)
 //   ProbeGain(i)   f(T ∪ {i}) − f(T) without mutating T  (i ∉ T)
 //   Commit(i)      T ← T ∪ {i}                           (i ∉ T)
+//   Footprint(i)   after Commit(i): the objects whose ProbeGain may have
+//                  moved (default: all of them)
+//
+// The engine reads Value() only for the Algorithm-1 final check (once
+// after Reset, once after the last Commit), so an implementation whose
+// value is an O(m) re-sum may compute it on demand instead of on every
+// Commit.
 //
 // Instances are stateful and NOT thread-safe: one instance per selection
 // run, driven from one thread (the engine never probes through its thread
@@ -22,7 +29,8 @@
 // worker).  EvalEngine::PlainGreedy / LazyGreedy use an attached
 // IncrementalObjective when GreedyOptions::incremental is set and fall
 // back to the memoized batch SetObjective path otherwise; the
-// incremental-equivalence suite pins both paths to the same selections.
+// incremental-equivalence suite pins both paths to the same selections,
+// and the footprint loop to a full re-probe after every pick.
 //
 // Closed-form instantiations for the paper's Section-3 objectives live
 // below; the covariance-aware one is in dist/mvn.h (it needs the MVN
@@ -59,6 +67,18 @@ class IncrementalObjective {
 
   // Extends the committed set: T ← T ∪ {i}.  Precondition: i not in T.
   virtual void Commit(int i) = 0;
+
+  // Called after Commit(i).  Returns true and fills `out` (any order,
+  // duplicate-free, may include committed objects) with every object
+  // whose ProbeGain may differ from before the commit; every object left
+  // out must probe BITWISE the same gain as before, which is what lets
+  // the engine keep its cached gain and still select exactly what a full
+  // re-probe selects.  Returning false means "all objects".
+  virtual bool Footprint(int i, std::vector<int>* out) const {
+    (void)i;
+    (void)out;
+    return false;
+  }
 };
 
 // Builds a fresh IncrementalObjective per selection run.  Factories are
@@ -70,9 +90,9 @@ using IncrementalFactory =
 
 // Modular MinVar (Lemma 3.1): f(T) = sum of `weights` outside T — the
 // remaining-variance metric of the fairness workloads.  ProbeGain is
-// exactly -weights[i] (O(1)); Commit re-sums the uncleaned weights in
-// index order so Value() matches the batch metric's accumulation
-// bit-for-bit.
+// exactly -weights[i] (O(1)) whatever T is, so the footprint of a commit
+// is empty; Commit re-sums the uncleaned weights in index order so
+// Value() matches the batch metric's accumulation bit-for-bit.
 std::unique_ptr<IncrementalObjective> MakeModularIncremental(
     std::vector<double> weights);
 

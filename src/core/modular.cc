@@ -22,7 +22,13 @@ Selection SolveDp(const std::vector<double>& weights,
                   const std::vector<double>& costs, double budget,
                   double cost_scale) {
   std::vector<int> int_costs = ScaleCostsToInt(costs, cost_scale);
-  int capacity = static_cast<int>(budget * cost_scale);
+  // Every item fits in the scaled total, so a larger capacity buys nothing;
+  // clamp in double before the cast, since budget * cost_scale can
+  // overflow int.  (Clamping the budget to the real total would not do:
+  // the scaled costs are rounded up.)
+  double scaled_total = 0.0;
+  for (int c : int_costs) scaled_total += c;
+  int capacity = static_cast<int>(std::min(budget * cost_scale, scaled_total));
   return FromKnapsack(MaxKnapsackDp(weights, int_costs, capacity), costs);
 }
 

@@ -40,9 +40,9 @@ Workload MakeModularFairnessWorkload(
     std::shared_ptr<const PerturbationSet> context, double bias_reference,
     double quality_reference);
 
-// A claim-quality workload (Theorem-3.8 EV metric, incremental greedy
-// registered as "claims_greedy_minvar") over an externally built
-// problem/context.
+// A claim-quality workload (Theorem-3.8 EV metric, the engine greedy on a
+// fresh evaluator's incremental objective registered as
+// "claims_greedy_minvar") over an externally built problem/context.
 Workload MakeClaimsWorkload(std::string name,
                             std::shared_ptr<const CleaningProblem> problem,
                             std::shared_ptr<const PerturbationSet> context,

@@ -6,6 +6,7 @@
 
 #include "claims/counter.h"
 #include "claims/ev_fast.h"
+#include "claims_greedy.h"
 #include "core/greedy.h"
 #include "core/partial.h"
 #include "data/synthetic.h"
@@ -66,7 +67,7 @@ TEST(ZeroBudgetTest, EverySelectorReturnsEmpty) {
                   .cleaned.empty());
   PerturbationSet context = NonOverlappingWindowSumPerturbations(8, 2, 0, 1.5);
   ClaimEvEvaluator evaluator(&p, &context, QualityMeasure::kDuplicity, 100.0);
-  EXPECT_TRUE(evaluator.GreedyMinVar(0.0).cleaned.empty());
+  EXPECT_TRUE(ClaimsGreedyMinVar(evaluator, p, 0.0).cleaned.empty());
 }
 
 TEST(StaticGreedyTest, AllZeroBenefitsSelectNothing) {
@@ -142,8 +143,8 @@ TEST(EvaluatorReuseTest, SameEvaluatorServesManyBudgets) {
   for (double frac : {0.1, 0.3, 0.7}) {
     ClaimEvEvaluator fresh(&p, &context, QualityMeasure::kDuplicity, 150.0);
     double budget = p.TotalCost() * frac;
-    Selection a = shared.GreedyMinVar(budget);
-    Selection b = fresh.GreedyMinVar(budget);
+    Selection a = ClaimsGreedyMinVar(shared, p, budget);
+    Selection b = ClaimsGreedyMinVar(fresh, p, budget);
     EXPECT_NEAR(shared.EV(a.cleaned), fresh.EV(b.cleaned), 1e-12);
   }
 }

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "claims/ev_fast.h"
+#include "claims_greedy.h"
 #include "core/delta.h"
 #include "core/ev.h"
 #include "core/greedy.h"
@@ -149,7 +150,7 @@ TEST(EvFastTest, IncrementalGreedyMatchesGenericAdaptiveGreedy) {
     ClaimEvEvaluator fast(&s.problem, &s.context, QualityMeasure::kDuplicity,
                           s.reference);
     double budget = s.problem.TotalCost() * 0.45;
-    Selection incremental = fast.GreedyMinVar(budget);
+    Selection incremental = ClaimsGreedyMinVar(fast, s.problem, budget);
     Selection generic = AdaptiveGreedyMinimize(
         s.problem.Costs(), budget,
         [&](const std::vector<int>& t) { return fast.EV(t); });
@@ -165,7 +166,7 @@ TEST(EvFastTest, GreedyReducesEvMonotonically) {
   Instance s = MakeOverlapping(13);
   ClaimEvEvaluator fast(&s.problem, &s.context, QualityMeasure::kFragility,
                         s.reference);
-  Selection sel = fast.GreedyMinVar(s.problem.TotalCost());
+  Selection sel = ClaimsGreedyMinVar(fast, s.problem, s.problem.TotalCost());
   std::vector<int> prefix;
   double prev = fast.PriorVariance();
   for (int i : sel.order) {
@@ -180,7 +181,8 @@ TEST(EvFastTest, FullBudgetDrivesEvToZero) {
   Instance s = MakeOverlapping(17);
   ClaimEvEvaluator fast(&s.problem, &s.context, QualityMeasure::kDuplicity,
                         s.reference);
-  Selection sel = fast.GreedyMinVar(s.problem.TotalCost() + 1);
+  Selection sel = ClaimsGreedyMinVar(fast, s.problem,
+                                     s.problem.TotalCost() + 1);
   EXPECT_NEAR(fast.EV(sel.cleaned), 0.0, 1e-9);
 }
 
@@ -212,8 +214,8 @@ TEST(EvFastTest, RefreshAfterMutationMatchesFreshEvaluator) {
           << "seed " << seed;
     }
     const double budget = s.problem.TotalCost() * 0.4;
-    Selection from_live = live.GreedyMinVar(budget);
-    Selection from_fresh = fresh.GreedyMinVar(budget);
+    Selection from_live = ClaimsGreedyMinVar(live, s.problem, budget);
+    Selection from_fresh = ClaimsGreedyMinVar(fresh, s.problem, budget);
     EXPECT_EQ(from_live.cleaned, from_fresh.cleaned);
     EXPECT_EQ(from_live.order, from_fresh.order);
   }

@@ -158,6 +158,10 @@ TEST(ExperimentRunner, ObjectiveMatchesWorkloadMetric) {
       runner.RunCell(w, "claims_greedy_minvar", 0.2 * w.TotalCost());
   ASSERT_TRUE(cell.has_objective);
   EXPECT_EQ(cell.objective, w.metric(cell.result.selection.cleaned));
+  // The entry reports its fresh evaluator's kernel work, which is what
+  // the BENCH_dist.json gate diffs.
+  EXPECT_GT(cell.kernel_calls, 0);
+  EXPECT_GT(cell.kernel_atoms, 0);
 }
 
 TEST(ExperimentRunner, ExactWorkloadScoresThroughTrajectory) {

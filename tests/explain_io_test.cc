@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "claims/explain.h"
+#include "claims_greedy.h"
 #include "data/problem_io.h"
 #include "data/synthetic.h"
 
@@ -17,7 +18,7 @@ TEST(ExplainTest, StepsAccountForAllRemovedVariance) {
   double reference = context.original.Evaluate(p.CurrentValues());
   ClaimEvEvaluator evaluator(&p, &context, QualityMeasure::kDuplicity,
                              reference);
-  Selection sel = evaluator.GreedyMinVar(p.TotalCost() * 0.4);
+  Selection sel = ClaimsGreedyMinVar(evaluator, p, p.TotalCost() * 0.4);
   CleaningPlanExplanation explanation =
       ExplainSelection(p, evaluator, sel);
   EXPECT_NEAR(explanation.prior_variance, evaluator.PriorVariance(), 1e-12);
@@ -62,7 +63,7 @@ TEST(ExplainTest, TextRenderingContainsSummaryAndSteps) {
   double reference = context.original.Evaluate(p.CurrentValues());
   ClaimEvEvaluator evaluator(&p, &context, QualityMeasure::kDuplicity,
                              reference);
-  Selection sel = evaluator.GreedyMinVar(p.TotalCost() * 0.3);
+  Selection sel = ClaimsGreedyMinVar(evaluator, p, p.TotalCost() * 0.3);
   std::string text = ExplainSelection(p, evaluator, sel).ToText();
   EXPECT_NE(text.find("cleaning plan"), std::string::npos);
   EXPECT_NE(text.find("uncertainty:"), std::string::npos);

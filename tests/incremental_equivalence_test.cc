@@ -3,14 +3,19 @@
 // to the identical selection — same set, same pick order, same cost, and
 // bitwise the same objective trajectory — as the from-scratch batch
 // SetObjective path, across pool sizes and lazy modes; the stats must
-// show the work moving from full evaluations to O(Δ) probes.  Also the
+// show the work moving from full evaluations to O(Δ) probes.  The
+// footprint tier checks each objective's Footprint contract (gains outside
+// it stay bitwise unchanged) and that the engine's footprint-driven loop
+// selects exactly what a full re-probe after every pick selects.  Also the
 // collision-path tier for the engine's 64-bit set-signature memo (the
 // exact-key fallback must keep the cache sound under a degenerate hash)
 // and the stats_out-on-early-exit contract.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -226,9 +231,32 @@ TEST(IncrementalConsistency, ValueProbeAndCommitMatchBatchObjective) {
   }
 }
 
-// --- Engine equivalence: incremental path vs batch path -------------------
+// --- Greedy arms -----------------------------------------------------------
 
-Selection RunEngine(const Family& family, bool incremental, bool lazy,
+// Forwards every call but Footprint, so the engine falls back to
+// re-probing every candidate after each pick: the reference the
+// footprint-driven loop must reproduce.
+class FullReprobe final : public IncrementalObjective {
+ public:
+  explicit FullReprobe(std::unique_ptr<IncrementalObjective> inner)
+      : inner_(std::move(inner)) {}
+  void Reset(const std::vector<int>& cleaned) override {
+    inner_->Reset(cleaned);
+  }
+  double Value() const override { return inner_->Value(); }
+  double ProbeGain(int i) override { return inner_->ProbeGain(i); }
+  void Commit(int i) override { inner_->Commit(i); }
+
+ private:
+  std::unique_ptr<IncrementalObjective> inner_;
+};
+
+// The three greedy paths under comparison: the batch SetObjective path, the
+// incremental path with the objective's footprint, and the incremental
+// path re-probing everything after each pick.
+enum class Arm { kBatch, kFootprint, kFullReprobe };
+
+Selection RunEngine(const Family& family, Arm arm, bool lazy,
                     int pool_threads, EngineStats* stats) {
   GreedyOptions options;
   options.lazy = lazy;
@@ -239,8 +267,11 @@ Selection RunEngine(const Family& family, bool incremental, bool lazy,
     options.pool = pool.get();
   }
   std::unique_ptr<IncrementalObjective> inc;
-  if (incremental) {
+  if (arm != Arm::kBatch) {
     inc = family.make_incremental();
+    if (arm == Arm::kFullReprobe) {
+      inc = std::make_unique<FullReprobe>(std::move(inc));
+    }
     options.incremental = inc.get();
   }
   return family.direction == OptimizeDirection::kMinimize
@@ -250,6 +281,60 @@ Selection RunEngine(const Family& family, bool incremental, bool lazy,
                                       family.batch, options);
 }
 
+// --- Footprint contract ----------------------------------------------------
+
+// Commits the greedy's pick order, then every remaining object, one at a
+// time: after each commit, every uncommitted object outside the
+// footprint must probe bitwise the gain it probed before the commit.
+TEST(IncrementalFootprint, GainsOutsideTheFootprintStayBitwiseUnchanged) {
+  int checked = 0;
+  for (std::uint64_t seed : {3u, 11u}) {
+    for (Family& family : AllFamilies(seed)) {
+      SCOPED_TRACE(family.name + " seed=" + std::to_string(seed));
+      const int n = static_cast<int>(family.costs.size());
+      std::vector<int> order =
+          RunEngine(family, Arm::kFootprint, /*lazy=*/false, 0, nullptr)
+              .order;
+      std::vector<bool> taken(n, false);
+      for (int i : order) taken[i] = true;
+      for (int i = 0; i < n; ++i) {
+        if (!taken[i]) order.push_back(i);
+      }
+
+      std::unique_ptr<IncrementalObjective> inc = family.make_incremental();
+      inc->Reset({});
+      std::vector<double> gain(n);
+      for (int i = 0; i < n; ++i) gain[i] = inc->ProbeGain(i);
+      std::fill(taken.begin(), taken.end(), false);
+      std::vector<int> footprint;
+      for (int pick : order) {
+        inc->Commit(pick);
+        taken[pick] = true;
+        std::vector<bool> moved(n, true);
+        if (inc->Footprint(pick, &footprint)) {
+          std::fill(moved.begin(), moved.end(), false);
+          for (int i : footprint) moved[i] = true;
+        }
+        for (int i = 0; i < n; ++i) {
+          if (taken[i]) continue;
+          const double now = inc->ProbeGain(i);
+          if (!moved[i]) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(now),
+                      std::bit_cast<std::uint64_t>(gain[i]))
+                << "object " << i << " after committing " << pick;
+            ++checked;
+          }
+          gain[i] = now;
+        }
+      }
+    }
+  }
+  // The modular and claims families declare real footprints.
+  EXPECT_GT(checked, 0);
+}
+
+// --- Engine equivalence: incremental path vs batch path -------------------
+
 TEST(IncrementalEngineEquivalence, SameSelectionAcrossPoolsAndLazyModes) {
   for (std::uint64_t seed : {2u, 7u, 19u}) {
     for (Family& family : AllFamilies(seed)) {
@@ -257,16 +342,20 @@ TEST(IncrementalEngineEquivalence, SameSelectionAcrossPoolsAndLazyModes) {
         // Batch reference at pool size 0; the engine guarantees pool-size
         // bit-stability, so one batch reference per lazy mode suffices.
         EngineStats batch_stats;
-        Selection batch =
-            RunEngine(family, /*incremental=*/false, lazy, 0, &batch_stats);
+        Selection batch = RunEngine(family, Arm::kBatch, lazy, 0,
+                                    &batch_stats);
         for (int pool_threads : {0, 1, 4}) {
           SCOPED_TRACE(family.name + (lazy ? " lazy" : " plain") +
                        " pool=" + std::to_string(pool_threads) + " seed=" +
                        std::to_string(seed));
-          EngineStats inc_stats;
-          Selection inc = RunEngine(family, /*incremental=*/true, lazy,
+          EngineStats inc_stats, full_stats;
+          Selection inc = RunEngine(family, Arm::kFootprint, lazy,
                                     pool_threads, &inc_stats);
+          Selection full = RunEngine(family, Arm::kFullReprobe, lazy,
+                                     pool_threads, &full_stats);
           ExpectSameSelection(batch, inc, family.name);
+          ExpectSameSelection(full, inc, family.name + " full re-probe");
+          EXPECT_LE(inc_stats.probes, full_stats.probes);
           // The work must have moved from full evaluations to probes:
           // one Reset-evaluation, everything else O(Δ).
           EXPECT_EQ(inc_stats.evaluations, 1);
@@ -294,14 +383,17 @@ TEST(IncrementalEngineEquivalence, SameSelectionAcrossPoolsAndLazyModes) {
 // --- Workload-level equivalence through the Planner -----------------------
 
 // Every registered workload that ships an incremental factory must select
-// identically with and without it, for threads in {1, 4} x lazy on/off,
-// including the (bitwise) objective trajectory the Planner recomputes
-// through the workload metric.
+// identically with and without it, and with its footprint hidden, for
+// threads in {1, 4} x lazy on/off, including the (bitwise) objective
+// trajectory the Planner recomputes through the workload metric.  A
+// workload's own claims_greedy_minvar (the same engine greedy on a fresh
+// evaluator) must select exactly what greedy_minvar selects.
 TEST(WorkloadIncrementalEquivalence, AllRegisteredWorkloadsMatchBatchPath) {
   using exp::Workload;
   using exp::WorkloadOptions;
   using exp::WorkloadRegistry;
   int covered = 0;
+  int claims_covered = 0;
   for (const auto* entry : WorkloadRegistry::Global().Sorted()) {
     SCOPED_TRACE(entry->name);
     WorkloadOptions options;
@@ -324,11 +416,31 @@ TEST(WorkloadIncrementalEquivalence, AllRegisteredWorkloadsMatchBatchPath) {
         PlanRequest batch_request = request;
         batch_request.custom_incremental = nullptr;
         PlanResult batch = planner.Plan(batch_request, "greedy_minvar");
+        PlanRequest full_request = request;
+        full_request.custom_incremental =
+            [factory = request.custom_incremental] {
+              return std::unique_ptr<IncrementalObjective>(
+                  std::make_unique<FullReprobe>(factory()));
+            };
+        PlanResult full = planner.Plan(full_request, "greedy_minvar");
         ExpectSameSelection(batch.selection, with_inc.selection,
                             entry->name);
+        ExpectSameSelection(full.selection, with_inc.selection,
+                            entry->name + " full re-probe");
+        EXPECT_LE(with_inc.stats.probes, full.stats.probes);
         ASSERT_EQ(batch.trajectory.size(), with_inc.trajectory.size());
+        ASSERT_EQ(full.trajectory.size(), with_inc.trajectory.size());
         for (size_t k = 0; k < batch.trajectory.size(); ++k) {
           EXPECT_EQ(batch.trajectory[k], with_inc.trajectory[k]);  // bitwise
+          EXPECT_EQ(full.trajectory[k], with_inc.trajectory[k]);
+        }
+        if (planner.registry().Find("claims_greedy_minvar") != nullptr) {
+          PlanResult claims = planner.Plan(request, "claims_greedy_minvar");
+          ExpectSameSelection(claims.selection, with_inc.selection,
+                              entry->name + " claims_greedy_minvar");
+          EXPECT_EQ(claims.trajectory, with_inc.trajectory);
+          EXPECT_EQ(claims.stats.probes, with_inc.stats.probes);
+          ++claims_covered;
         }
         EXPECT_EQ(with_inc.stats.evaluations, 1);
         EXPECT_GT(with_inc.stats.probes, 0);
@@ -341,6 +453,7 @@ TEST(WorkloadIncrementalEquivalence, AllRegisteredWorkloadsMatchBatchPath) {
   // The catalogue must actually exercise the path: the fairness, claims,
   // dependency, and engine-gate workloads all ship factories.
   EXPECT_GE(covered, 10);
+  EXPECT_GT(claims_covered, 0);
 }
 
 // The incremental factory mirrors the workload METRIC; algorithms that
@@ -427,27 +540,25 @@ EngineStats SentinelStats() {
 }
 
 TEST(StatsOut, PopulatedWhenNothingIsAffordable) {
-  Family family = ModularFamily(5);
-  for (bool incremental : {false, true}) {
-    SCOPED_TRACE(incremental ? "incremental" : "batch");
-    EngineStats stats = SentinelStats();
-    GreedyOptions options;
-    options.stats_out = &stats;
-    std::unique_ptr<IncrementalObjective> inc;
-    if (incremental) {
-      inc = family.make_incremental();
-      options.incremental = inc.get();
+  for (Family& family : AllFamilies(5)) {
+    family.budget = 0.0;
+    for (Arm arm : {Arm::kBatch, Arm::kFootprint}) {
+      for (bool lazy : {false, true}) {
+        SCOPED_TRACE(family.name +
+                     (arm == Arm::kBatch ? " batch" : " incremental") +
+                     (lazy ? " lazy" : " plain"));
+        EngineStats stats = SentinelStats();
+        Selection sel = RunEngine(family, arm, lazy, 0, &stats);
+        EXPECT_TRUE(sel.cleaned.empty());
+        // The empty-candidate early break still reports: one evaluation
+        // for the empty set, nothing else.
+        EXPECT_EQ(stats.evaluations, 1);
+        EXPECT_EQ(stats.probes, 0);
+        EXPECT_EQ(stats.commits, 0);
+        EXPECT_EQ(stats.cache_hits, 0);  // fully assigned, no sentinel
+        EXPECT_GE(stats.key_bytes_hashed, 0);
+      }
     }
-    Selection sel =
-        AdaptiveGreedyMinimize(family.costs, /*budget=*/0.0, family.batch,
-                               options);
-    EXPECT_TRUE(sel.cleaned.empty());
-    // The empty-candidate early break still reports: one evaluation for
-    // the empty set, nothing else.
-    EXPECT_EQ(stats.evaluations, 1);
-    EXPECT_EQ(stats.probes, 0);
-    EXPECT_EQ(stats.commits, 0);
-    EXPECT_GE(stats.key_bytes_hashed, 0);
   }
 }
 
@@ -468,26 +579,6 @@ TEST(StatsOut, PopulatedOnMaximizeNoGainEarlyBreak) {
     EXPECT_EQ(stats.probes, 0);
     EXPECT_EQ(stats.commits, 0);
   }
-}
-
-TEST(StatsOut, ClaimsGreedyReportsOnEmptyBudget) {
-  CleaningProblem problem =
-      data::MakeSynthetic(data::SyntheticFamily::kUniformRandom, 31,
-                          {.size = 12, .min_support = 2, .max_support = 3});
-  PerturbationSet context = SlidingWindowSumPerturbations(12, 3, 0, 1.5);
-  double reference = context.original.Evaluate(problem.CurrentValues());
-  ClaimEvEvaluator evaluator(&problem, &context, QualityMeasure::kDuplicity,
-                             reference);
-  EngineStats stats = SentinelStats();
-  GreedyOptions options;
-  options.stats_out = &stats;
-  Selection sel = evaluator.GreedyMinVar(/*budget=*/0.0, options);
-  EXPECT_TRUE(sel.cleaned.empty());
-  EXPECT_GT(stats.evaluations, 0);  // the initial term pass
-  EXPECT_GT(stats.probes, 0);       // the initial benefit pass
-  EXPECT_EQ(stats.commits, 0);
-  EXPECT_EQ(stats.cache_hits, 0);  // fully assigned, no sentinel residue
-  EXPECT_EQ(stats.key_bytes_hashed, 0);
 }
 
 }  // namespace

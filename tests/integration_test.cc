@@ -6,6 +6,7 @@
 
 #include "claims/counter.h"
 #include "claims/ev_fast.h"
+#include "claims_greedy.h"
 #include "core/brute_force.h"
 #include "core/greedy.h"
 #include "data/adoptions.h"
@@ -98,7 +99,7 @@ TEST(UniquenessPipelineTest, GreedyMinVarAndBestBeatGreedyNaiveOnCdc) {
                              reference);
   ClaimQualityFunction f(&context, QualityMeasure::kDuplicity, reference);
   double budget = problem.TotalCost() * 0.25;
-  Selection minvar = evaluator.GreedyMinVar(budget);
+  Selection minvar = ClaimsGreedyMinVar(evaluator, problem, budget);
   Selection naive = GreedyNaive(f, problem, budget);
   Selection best = BestMinVar(
       [&](const std::vector<int>& t) { return evaluator.EV(t); },
@@ -119,7 +120,8 @@ TEST(RobustnessPipelineTest, FragilityEvaluatorAgreesAndGreedyHelps) {
                              reference);
   double prior = evaluator.PriorVariance();
   EXPECT_GT(prior, 0.0);
-  Selection sel = evaluator.GreedyMinVar(problem.TotalCost() * 0.3);
+  Selection sel = ClaimsGreedyMinVar(evaluator, problem,
+                                     problem.TotalCost() * 0.3);
   EXPECT_LT(evaluator.EV(sel.cleaned), prior);
 }
 

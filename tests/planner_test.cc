@@ -18,6 +18,7 @@
 #include "core/modular.h"
 #include "core/planner.h"
 #include "core/registry.h"
+#include "data/problem_io.h"
 #include "data/synthetic.h"
 #include "montecarlo/mc_greedy.h"
 #include "submodular/issc.h"
@@ -209,6 +210,46 @@ TEST(RegistryEquivalence, KnapsackFamily) {
                      "knapsack_fptas_maxpr"),
       MaxPrFptas(fx.query, stddevs, fx.problem.Costs(), fx.budget,
                  /*eps=*/0.1));
+}
+
+// A budget above the total cost buys every object, so the knapsack DP must
+// not size itself by budget * cost_scale: 1e12 overflowed the int capacity
+// (an empty plan) and 1e7 allocated over a GiB.
+TEST(RegistryEquivalence, KnapsackDpBudgetAboveTotalCostBuysEverything) {
+  // testdata/problem_small.csv: six objects whose costs sum to 8.
+  std::optional<CleaningProblem> problem = data::ProblemFromCsv(
+      "label,current,cost,support,probs\n"
+      "crimes/2013,8900,1,8820;8900;8980,0.3;0.4;0.3\n"
+      "crimes/2014,9010,1,8930;9010;9090,0.25;0.5;0.25\n"
+      "crimes/2015,9275,1,9195;9275;9355,0.25;0.5;0.25\n"
+      "crimes/2016,9300,2,9220;9300;9380,0.25;0.5;0.25\n"
+      "crimes/2017,9125,1,9045;9125;9205,0.2;0.6;0.2\n"
+      "crimes/2018,9430,2,9350;9430;9510,0.25;0.5;0.25\n");
+  ASSERT_TRUE(problem.has_value());
+  ASSERT_EQ(problem->TotalCost(), 8.0);
+  const LinearQueryFunction query =
+      LinearQueryFunction::FromDense(std::vector<double>(6, 1.0));
+  for (ObjectiveKind kind : {ObjectiveKind::kMinVar, ObjectiveKind::kMaxPr}) {
+    const std::string algo = kind == ObjectiveKind::kMinVar
+                                 ? "knapsack_dp_minvar"
+                                 : "knapsack_dp_maxpr";
+    SCOPED_TRACE(algo);
+    PlanRequest request;
+    request.problem = &*problem;
+    request.query = &query;
+    request.linear_query = &query;
+    request.objective = kind;
+    request.tau = 50.0;
+    request.budget = 8.0;
+    const PlanResult total = Planner().Plan(request, algo);
+    EXPECT_EQ(total.selection.cleaned.size(), 6u);
+    for (double budget : {1e7, 1e12}) {
+      request.budget = budget;
+      const PlanResult huge = Planner().Plan(request, algo);
+      EXPECT_EQ(huge.selection.cleaned, total.selection.cleaned) << budget;
+      EXPECT_EQ(huge.selection.order, total.selection.order) << budget;
+    }
+  }
 }
 
 TEST(RegistryEquivalence, BruteForceBothDirections) {

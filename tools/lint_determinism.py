@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Project determinism lint: ban the nondeterminism bug classes this repo
-has already paid for (see README "Static analysis").
+has already paid for (see README "Static analysis"), and keep the module
+layering the README's module map claims.
 
 The planner's contract is bit-identical results for a fixed seed across
 thread counts, pool sizes, and rebuilds — enforced today by equivalence
@@ -28,6 +29,11 @@ that historically breaks that contract:
                   kernels layer owns the documented first-to-last
                   contract; everything else writes explicit loops or
                   calls the kernels.
+  layer-include   a src/ file including a module above its own layer
+                  (LAYERS, the README module map's bottom-to-top order).
+                  Upward edges hide cycles and drag serving or sampling
+                  code into the core; the audited exceptions are
+                  allowlisted with their reasons.
 
 False positives go in tools/determinism_allowlist.txt, one audited site
 per line: `path-glob|rule|line-substring # reason`.  Keep reasons honest;
@@ -107,7 +113,9 @@ def strip_comments_and_strings(text):
 
 # ---------------------------------------------------------------------------
 # Rules.  Each returns a list of (line_number, message) over the stripped
-# text; `path` is repo-relative with forward slashes.
+# text; `path` is repo-relative with forward slashes, and `raw` holds the
+# unstripped lines (same line and column structure) for rules that read
+# a literal.
 
 RANDOM_PATTERNS = [
     (re.compile(r"(?<![\w:])s?rand\s*\("), "rand()/srand()"),
@@ -118,8 +126,8 @@ RANDOM_PATTERNS = [
 ]
 
 
-def rule_banned_random(path, lines):
-    del path
+def rule_banned_random(path, lines, raw):
+    del path, raw
     findings = []
     for lineno, line in enumerate(lines, 1):
         for pattern, what in RANDOM_PATTERNS:
@@ -135,8 +143,8 @@ UNORDERED_DECL = re.compile(
     r"unordered_(?:map|set)\s*<.*>>?\s*&?\s*(\w+)\s*(?:;|=|\{|\()")
 
 
-def rule_unordered_iter(path, lines):
-    del path
+def rule_unordered_iter(path, lines, raw):
+    del path, raw
     # Pass 1: names declared with an unordered type in this file.
     names = set()
     for line in lines:
@@ -167,8 +175,8 @@ LOCAL_STATIC = re.compile(r"^\s+static\s+(?!const\b|constexpr\b|_assert)")
 FUNCTION_DECL = re.compile(r"^\s+static\s+[\w:<>,\s*&]+?\b\w+\s*\(")
 
 
-def rule_local_static(path, lines):
-    del path
+def rule_local_static(path, lines, raw):
+    del path, raw
     findings = []
     for lineno, line in enumerate(lines, 1):
         if not LOCAL_STATIC.search(line):
@@ -195,7 +203,8 @@ FP_REDUCE_PATTERNS = [
 FP_REDUCE_EXEMPT = ("src/dist/kernels.h", "src/dist/kernels.cc")
 
 
-def rule_fp_reduce(path, lines):
+def rule_fp_reduce(path, lines, raw):
+    del raw
     if path in FP_REDUCE_EXEMPT:
         return []
     findings = []
@@ -209,11 +218,50 @@ def rule_fp_reduce(path, lines):
     return findings
 
 
+# The README module map's layers, bottom to top: a src/ module may include
+# its own layer and the layers below it.
+LAYERS = ["util", "linalg", "dist", "knapsack", "core", "submodular",
+          "claims", "montecarlo", "relational", "data", "exp", "cli",
+          "serve"]
+INCLUDE_DIRECTIVE = re.compile(r"^\s*#\s*include\b")
+INCLUDE_PATH = re.compile(r'"([^"/]+)/')
+
+
+def rule_layer_include(path, lines, raw):
+    parts = path.split("/")
+    if len(parts) < 3 or parts[0] != "src" or parts[1] not in LAYERS:
+        return []
+    rank = LAYERS.index(parts[1])
+    findings = []
+    for lineno, line in enumerate(lines, 1):
+        # The stripped line proves the directive is live code; the quoted
+        # path itself survives only in the raw line.
+        if not INCLUDE_DIRECTIVE.search(line):
+            continue
+        match = INCLUDE_PATH.search(raw[lineno - 1])
+        if match is None:
+            continue
+        target = match.group(1)
+        if target not in LAYERS:
+            findings.append(
+                (lineno,
+                 f"include of unknown module '{target}/': add it to LAYERS "
+                 "in the README module map's order"))
+        elif LAYERS.index(target) > rank:
+            findings.append(
+                (lineno,
+                 f"{parts[1]}/ includes {target}/, a higher layer: move the "
+                 "code down, invert the dependency, or allowlist the edge "
+                 "with its reason"))
+    return findings
+
+
 RULES = {
     "banned-random": rule_banned_random,
     "unordered-iter": rule_unordered_iter,
     "local-static": rule_local_static,
     "fp-reduce": rule_fp_reduce,
+    "layer-include": rule_layer_include,
 }
 
 SOURCE_EXTENSIONS = (".h", ".cc", ".cpp", ".hpp")
@@ -253,9 +301,10 @@ def allowlisted(entries, path, rule, line_text):
 def lint_text(path, text):
     stripped = strip_comments_and_strings(text)
     lines = stripped.split("\n")
+    raw = text.split("\n")
     findings = []
     for rule, fn in RULES.items():
-        for lineno, message in fn(path, lines):
+        for lineno, message in fn(path, lines, raw):
             findings.append((path, lineno, rule, message))
     return findings
 
@@ -337,6 +386,17 @@ SELF_TEST_FIXTURES = {
         }
         """,
         3,
+    ),
+    "layer-include": (
+        "src/core/bad.cc",
+        """
+        #include "claims/ev_fast.h"
+        #include "core/engine.h"
+        #include "dist/kernels.h"
+        // #include "serve/service.h" is prose, not a directive
+        #include <vector>
+        """,
+        1,
     ),
 }
 
