@@ -271,9 +271,10 @@ QualityMoments RatioEvEvaluator::Moments() const {
 
 // The engine-pluggable face of the ratio evaluator: the committed set
 // lives here (flags + cached per-claim term values), a probe touches only
-// the single claim referencing the probed object (disjointness), and
-// Value() re-sums the cached terms in EV's claim order so it is bit-equal
-// to the batch EV of the same set.
+// the single claim referencing the probed object (disjointness), Footprint
+// names that claim's members — the only objects whose gain a commit can
+// move — and Value() re-sums the cached terms in EV's claim order so it
+// is bit-equal to the batch EV of the same set.
 class RatioIncrementalObjective final : public IncrementalObjective {
  public:
   explicit RatioIncrementalObjective(const RatioEvEvaluator* evaluator)
@@ -325,6 +326,17 @@ class RatioIncrementalObjective final : public IncrementalObjective {
       evar_terms_[k] = ev_->EVarTerm(k, is_cleaned_);
     }
     RecomputeValue();
+  }
+
+  bool Footprint(int i, std::vector<int>* out) const override {
+    out->clear();
+    for (int k : ev_->object_claims_[i]) {
+      const std::vector<int>& refs = ev_->claim_refs_[k];
+      out->insert(out->end(), refs.begin(), refs.end());
+    }
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+    return true;
   }
 
  private:

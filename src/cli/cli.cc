@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/modular.h"
 #include "core/planner.h"
 #include "core/registry.h"
 #include "data/problem_io.h"
@@ -110,8 +111,9 @@ bool ParseRunArgs(int argc, char** argv, RunArgs* args) {
         return Fail("--objective must be minvar or maxpr");
       }
     } else if (flag == "--tau") {
-      if (!next(&value) || !ParseFiniteDouble(value, &args->tau)) {
-        return Fail("--tau needs a number");
+      if (!next(&value) || !ParseFiniteDouble(value, &args->tau) ||
+          args->tau < 0.0) {
+        return Fail("--tau needs a finite number >= 0");
       }
     } else if (flag == "--refs") {
       if (!next(&value)) return false;
@@ -214,6 +216,10 @@ int RunCommand(int argc, char** argv) {
     return 1;
   }
   LinearQueryFunction query(refs, coeffs);
+  if (!CheckModularWeightsFinite(query, *problem, &error)) {
+    Fail(args.problem_path + ": " + error);
+    return 1;
+  }
 
   PlanRequest request;
   request.problem = &*problem;
@@ -430,9 +436,9 @@ int BenchRunCommand(int argc, char** argv) {
         .AddCell(cell.budget)
         .AddCell(static_cast<int>(cell.result.selection.cleaned.size()))
         .AddCell(cell.wall_ms)
-        .AddCell(static_cast<long>(cell.evaluations))
-        .AddCell(static_cast<long>(cell.probes))
-        .AddCell(static_cast<long>(cell.kernel_calls))
+        .AddCell(static_cast<long>(cell.result.stats.evaluations))
+        .AddCell(static_cast<long>(cell.result.stats.probes))
+        .AddCell(static_cast<long>(cell.result.stats.kernel_calls))
         .AddCell(cell.has_objective ? FormatCell(cell.objective)
                                     : std::string("-"));
     table.EndRow();

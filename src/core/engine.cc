@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 
 #include "core/problem.h"
 #include "util/cancel.h"
@@ -409,191 +408,21 @@ void EvalEngine::EvaluateExtensions(const std::vector<int>& base,
   }
 }
 
-Selection EvalEngine::PlainGreedy(const std::vector<double>& costs,
-                                  double budget,
-                                  const GreedyOptions& options) {
-  ApiGuard guard(this);
-  SyncEpoch();
-  return Greedy(costs, budget, options, /*lazy=*/false);
-}
-
-Selection EvalEngine::LazyGreedy(const std::vector<double>& costs,
-                                 double budget,
-                                 const GreedyOptions& options) {
-  ApiGuard guard(this);
-  SyncEpoch();
-  return Greedy(costs, budget, options, /*lazy=*/true);
-}
-
 Selection EvalEngine::Greedy(const std::vector<double>& costs, double budget,
-                             const GreedyOptions& options, bool lazy) {
-  if (options.incremental != nullptr) {
-    return GreedyIncremental(costs, budget, options, lazy);
-  }
+                             const GreedyOptions& options) {
+  ApiGuard guard(this);
+  SyncEpoch();
   const int n = static_cast<int>(costs.size());
   const double sign = direction_ == OptimizeDirection::kMaximize ? 1.0 : -1.0;
   const bool stop_when_no_gain = direction_ == OptimizeDirection::kMaximize;
-  Selection sel;
-  std::vector<bool> taken(n, false);
-  // Cooperative cancellation: polled before the initial empty-set
-  // evaluation and at each round boundary.  Cancellation can only land
-  // BETWEEN engine batches, so the memo never holds a half-committed
-  // batch; the (partial) selection is returned for the caller to discard
-  // and the final check is skipped.
-  bool cancelled = options.cancel != nullptr && options.cancel->Cancelled();
-  if (cancelled) {
-    FinishSelection(sel);
-    if (options.stats_out != nullptr) *options.stats_out = stats_;
-    return sel;
-  }
-  double current = Evaluate({});
-
-  auto score_of = [&](double value, int i) {
-    double benefit = sign * (value - current);
-    return options.cost_aware ? benefit / costs[i] : benefit;
-  };
-
-  // The committed set in sorted order (sel.cleaned holds pick order until
-  // FinishSelection), plus the candidate/value buffers reused by every
-  // round — the hot loop allocates nothing after the first round.
-  std::vector<int> base;
-  base.reserve(n);
-  std::vector<int> cand;
-  cand.reserve(n);
-  std::vector<double> values;
-  auto commit = [&](int pick) {
-    taken[pick] = true;
-    sel.cleaned.push_back(pick);
-    sel.cost += costs[pick];
-    base.insert(std::lower_bound(base.begin(), base.end(), pick), pick);
-  };
-
-  if (!lazy) {
-    // Full rescan every round, exactly the Algorithm-1 adaptive loop; the
-    // round's candidates go through the engine as one extension batch.
-    while (true) {
-      if (options.cancel != nullptr && options.cancel->Cancelled()) {
-        cancelled = true;
-        break;
-      }
-      cand.clear();
-      for (int i = 0; i < n; ++i) {
-        if (!taken[i] && sel.cost + costs[i] <= budget) cand.push_back(i);
-      }
-      if (cand.empty()) break;  // nothing affordable remains
-      EvaluateExtensions(base, cand, &values);
-      int best = -1;
-      double best_score = 0.0, best_value = 0.0;
-      for (int j = 0; j < static_cast<int>(cand.size()); ++j) {
-        double score = score_of(values[j], cand[j]);
-        if (best < 0 || score > best_score) {
-          best = j;
-          best_score = score;
-          best_value = values[j];
-        }
-      }
-      if (stop_when_no_gain && sign * (best_value - current) <= 0.0) break;
-      commit(cand[best]);
-      current = best_value;
-    }
-  } else {
-    // CELF: `gen` counts picks; an entry is fresh iff its score was
-    // computed against the current cleaned set.  Stale entries are upper
-    // bounds under submodularity, so a fresh entry at the top of the heap
-    // is the round's argmax.  Ties break toward the lower index, matching
-    // the ascending scan of the plain loop.
-    struct Entry {
-      double score;
-      double value;
-      int index;
-      int gen;
-    };
-    auto worse = [](const Entry& a, const Entry& b) {
-      if (a.score != b.score) return a.score < b.score;
-      return a.index > b.index;
-    };
-    std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> heap(
-        worse);
-    {
-      cand.clear();
-      for (int i = 0; i < n; ++i) {
-        if (costs[i] <= budget) cand.push_back(i);
-      }
-      EvaluateExtensions(base, cand, &values);
-      for (int j = 0; j < static_cast<int>(cand.size()); ++j) {
-        heap.push({score_of(values[j], cand[j]), values[j], cand[j], 0});
-      }
-    }
-    int gen = 0;
-    while (true) {
-      if (options.cancel != nullptr && options.cancel->Cancelled()) {
-        cancelled = true;
-        break;
-      }
-      int pick = -1;
-      double pick_value = 0.0;
-      while (!heap.empty()) {
-        Entry e = heap.top();
-        heap.pop();
-        // The accumulated cost only grows, so an unaffordable candidate
-        // can be dropped permanently.
-        if (taken[e.index] || sel.cost + costs[e.index] > budget) continue;
-        if (e.gen == gen) {
-          pick = e.index;
-          pick_value = e.value;
-          break;
-        }
-        cand.assign(1, e.index);
-        EvaluateExtensions(base, cand, &values);
-        heap.push({score_of(values[0], e.index), values[0], e.index, gen});
-      }
-      if (pick < 0) break;
-      if (stop_when_no_gain && sign * (pick_value - current) <= 0.0) break;
-      commit(pick);
-      current = pick_value;
-      ++gen;
-    }
-  }
-
-  if (options.final_check && !cancelled && !sel.cleaned.empty()) {
-    // Lines 5-8 of Algorithm 1: if some affordable single object alone
-    // beats the accumulated set, take it instead.  The singletons were
-    // evaluated in round one, so this batch is all cache hits.
-    const std::vector<int> empty_base;
-    cand.clear();
-    for (int i = 0; i < n; ++i) {
-      if (!taken[i] && costs[i] <= budget) cand.push_back(i);
-    }
-    EvaluateExtensions(empty_base, cand, &values);
-    int best = -1;
-    double best_value = 0.0;
-    for (int j = 0; j < static_cast<int>(cand.size()); ++j) {
-      if (best < 0 || sign * values[j] > sign * best_value) {
-        best = j;
-        best_value = values[j];
-      }
-    }
-    if (best >= 0 && sign * best_value > sign * current) {
-      sel.cleaned = {cand[best]};
-      sel.cost = costs[cand[best]];
-    }
-  }
-  FinishSelection(sel);
-  if (options.stats_out != nullptr) *options.stats_out = stats_;
-  return sel;
-}
-
-Selection EvalEngine::GreedyIncremental(const std::vector<double>& costs,
-                                        double budget,
-                                        const GreedyOptions& options,
-                                        bool lazy) {
-  const int n = static_cast<int>(costs.size());
-  const double sign = direction_ == OptimizeDirection::kMaximize ? 1.0 : -1.0;
-  const bool stop_when_no_gain = direction_ == OptimizeDirection::kMaximize;
+  const bool lazy = options.lazy;
   IncrementalObjective* inc = options.incremental;
   Selection sel;
-  std::vector<bool> taken(n, false);
-
+  // Cooperative cancellation: polled before the initial evaluation and at
+  // each round boundary.  Cancellation can only land BETWEEN engine
+  // batches, so the memo never holds a half-committed batch; the
+  // (partial) selection is returned for the caller to discard and the
+  // final check is skipped.
   bool cancelled = options.cancel != nullptr && options.cancel->Cancelled();
   if (cancelled) {
     FinishSelection(sel);
@@ -601,89 +430,143 @@ Selection EvalEngine::GreedyIncremental(const std::vector<double>& costs,
     return sel;
   }
 
-  inc->Reset({});
-  ++stats_.evaluations;  // one full-objective build
-  // Value() is read only by the final check (see core/incremental.h).
-  const double value0 = options.final_check ? inc->Value() : 0.0;
+  // The objective of the committed set.  A batch gain is measured against
+  // it, and a pick moves it to the pick's evaluated value (current + gain
+  // need not be bit-equal to it).  The incremental path probes gains
+  // directly and leaves `current` at f(∅), which only its final check
+  // reads (Value() is read only by the final check; core/incremental.h).
+  double current = 0.0;
+  if (inc != nullptr) {
+    inc->Reset({});
+    ++stats_.evaluations;  // one full-objective build
+    if (options.final_check) current = inc->Value();
+  } else {
+    current = Evaluate({});
+  }
 
-  // One heap serves both modes.  An entry holds a gain probed against the
-  // set as of version[index]; a commit bumps the version of every untaken
-  // object in its footprint.  Plain mode re-probes those objects before
-  // the next pick, so a stale entry is a superseded duplicate; lazy
-  // (CELF) mode re-probes a stale entry only when it reaches the top,
-  // where under submodularity its stale score bounds the fresh one.
-  // Entries outside the footprint stay fresh because their gains are
-  // bitwise unchanged, so both modes select what a full re-probe would.
-  // Ties break toward the lower index, matching an ascending scan.
+  // One heap serves every mode.  An entry holds a gain probed against the
+  // committed set as of its stamp, gen + version[index]: a commit whose
+  // footprint is every object (always, on the batch path) bumps `gen`,
+  // any other bumps the version of each object in its footprint.  Both
+  // counters only grow, so an entry is fresh iff its stamp still matches.
+  // Plain mode re-probes the stale objects before the next pick, so a
+  // stale entry is a superseded duplicate; lazy (CELF) mode re-probes a
+  // stale entry only when it reaches the top, where under submodularity
+  // its stale score bounds the fresh one.  Entries outside the footprint
+  // stay fresh because their gains are bitwise unchanged, so both modes
+  // select what a full re-probe would.  Ties break toward the lower
+  // index, matching an ascending scan.
   struct Entry {
     double score;
     double gain;
+    double value;  // evaluated f(T ∪ {index}) on the batch path
     int index;
-    int version;
+    int stamp;
   };
   auto worse = [](const Entry& a, const Entry& b) {
     if (a.score != b.score) return a.score < b.score;
     return a.index > b.index;
   };
-  std::vector<Entry> heap;
+  std::vector<bool> taken(n, false);
   std::vector<int> version(n, 0);
-  auto probe = [&](int i) {
-    double gain = inc->ProbeGain(i);
-    ++stats_.probes;
-    double benefit = sign * gain;
-    heap.push_back({options.cost_aware ? benefit / costs[i] : benefit, gain,
-                    i, version[i]});
-    std::push_heap(heap.begin(), heap.end(), worse);
-    return gain;
+  int gen = 0;
+  std::vector<Entry> heap;
+  heap.reserve(n);
+  // The committed set in sorted order (sel.cleaned holds pick order until
+  // FinishSelection) — the base of every batch probe.
+  std::vector<int> base;
+  if (inc == nullptr) base.reserve(n);
+  std::vector<double> values;
+  // f({i}) of every affordable singleton, remembered from round one for
+  // the Algorithm-1 final check, whose candidates they are exactly.
+  std::vector<double> singleton(n, 0.0);
+
+  // Probes `ids` against the committed set and queues their scores.  The
+  // batch path evaluates them as one extension batch (pooled when a pool
+  // is attached); the incremental path asks the objective for each gain.
+  auto probe = [&](const std::vector<int>& ids) {
+    if (inc == nullptr) EvaluateExtensions(base, ids, &values);
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      const int i = ids[j];
+      double gain, value;
+      if (inc == nullptr) {
+        value = values[j];
+        gain = value - current;
+      } else {
+        gain = inc->ProbeGain(i);
+        ++stats_.probes;
+        value = current + gain;
+      }
+      if (sel.cleaned.empty()) singleton[i] = value;
+      const double benefit = sign * gain;
+      heap.push_back({options.cost_aware ? benefit / costs[i] : benefit, gain,
+                      value, i, gen + version[i]});
+      std::push_heap(heap.begin(), heap.end(), worse);
+    }
   };
 
   // Objects to probe before the next pick: every affordable singleton
-  // first (their gains are remembered for the Algorithm-1 final check,
-  // whose candidates they are exactly), then each plain-mode footprint.
+  // first, then each plain-mode footprint.
   std::vector<int> dirty;
+  dirty.reserve(n);
   for (int i = 0; i < n; ++i) {
     if (costs[i] <= budget) dirty.push_back(i);
   }
-  std::vector<double> singleton_gain(n, 0.0);
+  std::vector<int> refresh;  // a lazy re-probe's one object
   std::vector<int> footprint;
   while (true) {
     if (options.cancel != nullptr && options.cancel->Cancelled()) {
       cancelled = true;
       break;
     }
-    for (int i : dirty) {
-      if (taken[i] || sel.cost + costs[i] > budget) continue;
-      double gain = probe(i);
-      if (sel.cleaned.empty()) singleton_gain[i] = gain;
-    }
+    // The accumulated cost only grows, so an unaffordable candidate can be
+    // dropped permanently, here and when it surfaces in the heap.
+    dirty.erase(std::remove_if(dirty.begin(), dirty.end(),
+                               [&](int i) {
+                                 return taken[i] ||
+                                        sel.cost + costs[i] > budget;
+                               }),
+                dirty.end());
+    if (!dirty.empty()) probe(dirty);
     dirty.clear();
     int pick = -1;
-    double pick_gain = 0.0;
+    double pick_gain = 0.0, pick_value = 0.0;
     while (!heap.empty()) {
       std::pop_heap(heap.begin(), heap.end(), worse);
       const Entry e = heap.back();
       heap.pop_back();
-      // The accumulated cost only grows, so an unaffordable candidate
-      // can be dropped permanently.
       if (taken[e.index] || sel.cost + costs[e.index] > budget) continue;
-      if (e.version == version[e.index]) {
+      if (e.stamp == gen + version[e.index]) {
         pick = e.index;
         pick_gain = e.gain;
+        pick_value = e.value;
         break;
       }
-      if (lazy) probe(e.index);
+      if (lazy) {
+        refresh.assign(1, e.index);
+        probe(refresh);
+      }
     }
     if (pick < 0) break;  // nothing affordable remains
     if (stop_when_no_gain && sign * pick_gain <= 0.0) break;
     taken[pick] = true;
     sel.cleaned.push_back(pick);
     sel.cost += costs[pick];
-    inc->Commit(pick);
-    ++stats_.commits;
-    if (!inc->Footprint(pick, &footprint)) {  // every object
-      footprint.resize(n);
-      std::iota(footprint.begin(), footprint.end(), 0);
-      if (!lazy) heap.clear();  // every entry is about to be superseded
+    if (inc == nullptr) {
+      base.insert(std::lower_bound(base.begin(), base.end(), pick), pick);
+      current = pick_value;
+    } else {
+      inc->Commit(pick);
+      ++stats_.commits;
+    }
+    if (inc == nullptr || !inc->Footprint(pick, &footprint)) {
+      ++gen;  // every object
+      if (!lazy) {
+        heap.clear();  // every entry is about to be superseded
+        dirty.resize(n);
+        std::iota(dirty.begin(), dirty.end(), 0);
+      }
+      continue;
     }
     for (int i : footprint) {
       if (taken[i]) continue;
@@ -693,18 +576,15 @@ Selection EvalEngine::GreedyIncremental(const std::vector<double>& costs,
   }
 
   if (options.final_check && !cancelled && !sel.cleaned.empty()) {
-    const double current = inc->Value();
+    // Lines 5-8 of Algorithm 1: if some affordable single object alone
+    // beats the accumulated set, take it instead.
+    if (inc != nullptr) current = inc->Value();
     int best = -1;
-    double best_value = 0.0;
     for (int i = 0; i < n; ++i) {
       if (taken[i] || costs[i] > budget) continue;
-      const double value = value0 + singleton_gain[i];
-      if (best < 0 || sign * value > sign * best_value) {
-        best = i;
-        best_value = value;
-      }
+      if (best < 0 || sign * singleton[i] > sign * singleton[best]) best = i;
     }
-    if (best >= 0 && sign * best_value > sign * current) {
+    if (best >= 0 && sign * singleton[best] > sign * current) {
       sel.cleaned = {best};
       sel.cost = costs[best];
     }

@@ -11,7 +11,7 @@
 //     every hit, with an exact-key side table as the fallback when two
 //     distinct sets collide on the signature — the memo is sound for any
 //     hash behaviour;
-//   * batch evaluation — each greedy round's candidate sets are evaluated
+//   * batch evaluation — a greedy round's candidate sets are evaluated
 //     as one batch, optionally spread across a fixed-size ThreadPool.
 //     Candidate sets are described as extensions of the round's base set
 //     (base ∪ {i}), so the hot loop allocates nothing: the engine keeps
@@ -20,39 +20,37 @@
 //     entry is created.  Every objective value is computed entirely inside
 //     one task and the batch is reduced in candidate-index order, so
 //     results are bit-identical for any pool size (including none);
-//   * lazy (CELF) greedy — a max-heap of stale upper bounds on the
-//     benefit-per-cost score; a candidate is only re-evaluated when it
-//     reaches the top of the heap, which on submodular objectives selects
-//     exactly the plain greedy's set with far fewer evaluations;
-//   * incremental objectives — when GreedyOptions::incremental attaches an
-//     IncrementalObjective (core/incremental.h), both greedy entry points
-//     switch from batch probes to the O(Δ) protocol:
+//   * one greedy loop — Greedy runs Algorithm 1 (adaptive greedy plus the
+//     lines 5-8 single-item check) as one heap loop, in plain or lazy
+//     (CELF) mode, over one of two probe kinds:
 //
-//       Reset({})      once per selection (counted as one evaluation),
-//       ProbeGain(i)   per candidate probe (counted in stats().probes),
-//       Commit(i)      per pick            (counted in stats().commits),
-//       Footprint(i)   after each pick: the candidates to re-probe,
-//       Value()        the objective, read only by the final check,
+//       batch          a round's candidates are one EvaluateExtensions
+//                      call on the memo; a gain is value − f(T);
+//       incremental    when GreedyOptions::incremental attaches an
+//                      IncrementalObjective (core/incremental.h), the
+//                      O(Δ) protocol:
+//         Reset({})      once per selection (counted as one evaluation),
+//         ProbeGain(i)   per candidate probe (counted in stats().probes),
+//         Commit(i)      per pick            (counted in stats().commits),
+//         Footprint(i)   after each pick: the candidates to re-probe,
+//         Value()        the objective, read only by the final check.
 //
-//     selecting the same set, in the same order, as the batch path — the
-//     incremental-equivalence suite pins this across thread counts and
-//     lazy modes.  Plain and lazy share one heap loop: a pick marks only
-//     its footprint stale (Theorem 3.8's locality on claim workloads),
-//     plain mode re-probes the stale candidates at once and lazy mode
-//     when they reach the top.  The final single-item check reuses the
-//     first round's singleton probes, so the incremental path performs no
-//     batch evaluation at all.  Without an attached incremental objective
-//     the greedy runs the batch path unchanged.  The batch path keeps its
-//     own plain scan and CELF loops: a batch round is one pooled
-//     EvaluateExtensions call with no footprint to exploit, and the scan
-//     is the cheaper loop for the small warm plans the service runs.
+//     A pick marks stale only the candidates whose gain it may have moved:
+//     its footprint (Theorem 3.8's locality on claim workloads), or every
+//     object on the batch path.  Plain mode re-probes the stale candidates
+//     at once, lazy mode when they reach the top of the heap, where under
+//     submodularity a stale score bounds the fresh one — so lazy selects
+//     exactly the plain set with far fewer evaluations.  Both probe kinds
+//     select the same set, in the same order; the incremental-equivalence
+//     suite pins this across thread counts and lazy modes.  The final
+//     check reads the singleton values remembered from the first round,
+//     so it costs no evaluation or memo lookup.
 //
 // The engine itself is single-writer at the API level: exactly one thread
 // may be inside a public evaluation/greedy call at a time (nested calls
-// from that thread — the greedy drivers call the batch entry points — are
-// fine).  This is ENFORCED: every public entry point asserts via an
-// atomic owner-thread guard and aborts with a diagnostic on concurrent
-// use, so a serving layer that shares one memo-warm engine across
+// from that thread — Greedy calls the batch entry points — are fine).
+// This is ENFORCED: every public entry point asserts via an atomic
+// owner-thread guard and aborts with a diagnostic on concurrent use, so a serving layer that shares one memo-warm engine across
 // requests (serve/service.h holds a per-session mutex) can never
 // silently corrupt the memo/overflow tables.  The objective must
 // tolerate concurrent invocations when a pool is attached (the exact
@@ -203,23 +201,17 @@ class EvalEngine {
                           const std::vector<int>& extras,
                           std::vector<double>* out);
 
-  // The Algorithm-1 adaptive greedy, evaluating every remaining candidate
-  // each round as one engine batch — or, when options.incremental is set,
-  // re-probing only the candidates whose gain the last pick may have
-  // moved.  Behaviourally identical to the pre-engine private loops.
-  Selection PlainGreedy(const std::vector<double>& costs, double budget,
-                        const GreedyOptions& options = {});
-
-  // CELF lazy greedy: seeds the heap with every candidate's first-round
-  // benefit (one pooled batch), then only refreshes the entries whose
-  // stale bound reaches the top.  Refreshes are one-at-a-time by
-  // construction, so the pool accelerates the seeding round only; the
-  // lazy win itself is the drop in evaluation count.  Selects the same
-  // set as PlainGreedy whenever marginal benefits are non-increasing in
-  // the growing cleaned set (submodularity; the property suite checks
-  // the paper's instance families).
-  Selection LazyGreedy(const std::vector<double>& costs, double budget,
-                       const GreedyOptions& options = {});
+  // The Algorithm-1 adaptive greedy with the lines 5-8 single-item check:
+  // lazy (CELF) when options.lazy is set, else plain; incremental probes
+  // when options.incremental is set, else batch probes of the memoized
+  // objective.  Every mode runs the one heap loop described above.  Lazy
+  // selects the plain set whenever marginal benefits are non-increasing
+  // in the growing cleaned set (submodularity; the property suite checks
+  // the paper's instance families).  Its re-probes are one-at-a-time by
+  // construction, so the pool accelerates the first round only; the lazy
+  // win itself is the drop in evaluation count.
+  Selection Greedy(const std::vector<double>& costs, double budget,
+                   const GreedyOptions& options = {});
 
   const EngineStats& stats() const { return stats_; }
   ThreadPool* pool() const { return pool_; }
@@ -268,11 +260,6 @@ class EvalEngine {
     std::vector<int> key;
     double value = 0.0;
   };
-
-  Selection Greedy(const std::vector<double>& costs, double budget,
-                   const GreedyOptions& options, bool lazy);
-  Selection GreedyIncremental(const std::vector<double>& costs, double budget,
-                              const GreedyOptions& options, bool lazy);
 
   // Epoch resynchronization against the bound problem (no-op when
   // unbound or already current) — called by every public entry point

@@ -87,7 +87,7 @@ namespace {
 
 // Both adaptive variants run on the shared evaluation engine: memoized
 // objective values, one batch per round (parallel when options.pool is
-// set), and optionally the CELF lazy driver.
+// set), plain or lazy per options.lazy.
 Selection AdaptiveGreedy(const std::vector<double>& costs, double budget,
                          const SetObjective& objective,
                          OptimizeDirection direction,
@@ -97,12 +97,10 @@ Selection AdaptiveGreedy(const std::vector<double>& costs, double budget,
     // (the caller guarantees they compute the same function), so the memo
     // built by earlier selections stays valid.
     FC_CHECK(options.engine->direction() == direction);
-    return options.lazy ? options.engine->LazyGreedy(costs, budget, options)
-                        : options.engine->PlainGreedy(costs, budget, options);
+    return options.engine->Greedy(costs, budget, options);
   }
   EvalEngine engine(objective, direction, options.pool);
-  return options.lazy ? engine.LazyGreedy(costs, budget, options)
-                      : engine.PlainGreedy(costs, budget, options);
+  return engine.Greedy(costs, budget, options);
 }
 
 }  // namespace

@@ -51,30 +51,32 @@ struct GreedyOptions {
   // Divide benefits by cost when ranking (beta(o)/c_o); the cost-blind
   // baseline disables this.
   bool cost_aware = true;
-  // Drive the selection with the CELF lazy evaluator (core/engine) instead
-  // of a full candidate rescan per round.  Selects the same set whenever
-  // marginal benefits are non-increasing (submodular objectives).
+  // Run EvalEngine::Greedy's heap loop in lazy (CELF) mode: a stale
+  // candidate is re-probed only when it reaches the top of the heap,
+  // instead of every stale candidate before each pick.  Selects the same
+  // set whenever marginal benefits are non-increasing (submodular
+  // objectives).
   bool lazy = false;
   // Optional evaluation pool (not owned); each round's candidate batch is
   // spread across it with bit-stable results for any pool size.  In lazy
-  // mode only the seeding round is a batch — CELF refreshes are
-  // inherently one-at-a-time, so the pool does not speed up later rounds.
+  // mode only the first round is a batch — CELF re-probes are inherently
+  // one-at-a-time, so the pool does not speed up later rounds.
   ThreadPool* pool = nullptr;
   // Optional O(Δ) marginal-gain evaluator mirroring the objective
-  // (core/incremental.h).  When set, the engine-backed drivers probe and
-  // commit through it instead of batch-evaluating the SetObjective,
+  // (core/incremental.h).  When set, EvalEngine::Greedy probes and
+  // commits through it instead of batch-evaluating the SetObjective,
   // selecting the same set with O(1)–O(Δ) work per candidate.  Borrowed,
   // must outlive the call; single-run state, never share an instance
   // across concurrent selections.
   IncrementalObjective* incremental = nullptr;
-  // Optional persistent engine (core/engine.h) to drive the selection on
-  // instead of a fresh per-call one, so a long-lived holder (the planning
-  // service) keeps the set-objective memo warm across requests.  Borrowed,
-  // must outlive the call; its retained objective must compute the same
-  // function as the `objective` argument (which is then ignored), and its
-  // direction must match the driver.  The engine enforces one in-flight
-  // API call at a time, so callers sharing one engine must serialize
-  // selections themselves.
+  // Optional persistent engine (core/engine.h) whose Greedy runs the
+  // selection instead of a fresh per-call engine's, so a long-lived holder
+  // (the planning service) keeps the set-objective memo warm across
+  // requests.  Borrowed, must outlive the call; its retained objective
+  // must compute the same function as the `objective` argument (which is
+  // then ignored), and its direction must match the driver.  The engine
+  // enforces one in-flight API call at a time, so callers sharing one
+  // engine must serialize selections themselves.
   EvalEngine* engine = nullptr;
   // When set, the engine-backed drivers copy their EvalEngine's final
   // counters here (evaluations / cache hits / incremental probes and
@@ -82,12 +84,12 @@ struct GreedyOptions {
   // empty-candidate and no-gain early breaks; engine-free algorithms
   // leave it untouched.  Borrowed, must outlive the call.
   EngineStats* stats_out = nullptr;
-  // Optional cooperative cancellation (util/cancel.h), polled by the
-  // engine-backed drivers at round boundaries — before the initial
-  // empty-set evaluation and before each selection round.  A cancelled
-  // run returns early with whatever partial selection it built (callers
-  // discard it — Planner::TryPlan turns a cancelled run into an error)
-  // and skips the final single-item check; the engine memo stays
+  // Optional cooperative cancellation (util/cancel.h), polled by
+  // EvalEngine::Greedy at round boundaries — before the initial
+  // evaluation (or incremental Reset) and before each round's probes.  A
+  // cancelled run returns early with whatever partial selection it built
+  // (callers discard it — Planner::TryPlan turns a cancelled run into an
+  // error) and skips the final single-item check; the engine memo stays
   // consistent because no batch is ever abandoned half-committed.
   // Borrowed, must outlive the call; polled from the calling thread only.
   const CancelToken* cancel = nullptr;
@@ -105,9 +107,9 @@ Selection StaticGreedy(const std::vector<double>& benefits,
 // Adaptive greedy that re-estimates marginal benefits after every pick,
 // running on the shared evaluation engine (core/engine): objective values
 // are memoized per cleaned set, each round is evaluated as one batch
-// (parallel when options.pool is set), and options.lazy switches to the
-// CELF driver.  Without the lazy flag `objective` is evaluated O(n^2)
-// times.  Minimize: picks by (obj(T) - obj(T+{i})) / c_i, stops when the
+// (parallel when options.pool is set), and options.lazy switches the
+// engine's greedy loop to CELF.  Without the lazy flag `objective` is
+// evaluated O(n^2) times.  Minimize: picks by (obj(T) - obj(T+{i})) / c_i, stops when the
 // budget is exhausted; the final check swaps to the best single item if it
 // alone beats T.
 Selection AdaptiveGreedyMinimize(const std::vector<double>& costs,

@@ -26,11 +26,11 @@
 // Instances are stateful and NOT thread-safe: one instance per selection
 // run, driven from one thread (the engine never probes through its thread
 // pool — the whole point is that a probe is too cheap to ship to a
-// worker).  EvalEngine::PlainGreedy / LazyGreedy use an attached
-// IncrementalObjective when GreedyOptions::incremental is set and fall
-// back to the memoized batch SetObjective path otherwise; the
-// incremental-equivalence suite pins both paths to the same selections,
-// and the footprint loop to a full re-probe after every pick.
+// worker).  EvalEngine::Greedy probes through an attached
+// IncrementalObjective when GreedyOptions::incremental is set and through
+// batches of the memoized SetObjective otherwise, in one heap loop; the
+// incremental-equivalence suite pins both probe kinds to the same
+// selections, and the footprint to a full re-probe after every pick.
 //
 // Closed-form instantiations for the paper's Section-3 objectives live
 // below; the covariance-aware one is in dist/mvn.h (it needs the MVN

@@ -1,6 +1,8 @@
 #include "core/modular.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 
 #include "knapsack/knapsack.h"
 #include "util/check.h"
@@ -52,6 +54,36 @@ std::vector<double> MinVarModularWeights(const LinearQueryFunction& f,
     w[refs[k]] = coeffs[k] * coeffs[k] * variances[refs[k]];
   }
   return w;
+}
+
+bool CheckModularWeightsFinite(const LinearQueryFunction& f,
+                               const CleaningProblem& problem,
+                               std::string* error) {
+  const auto& refs = f.References();
+  const auto& coeffs = f.coefficients();
+  double sum = 0.0;
+  for (size_t k = 0; k < refs.size(); ++k) {
+    FC_CHECK_LT(refs[k], problem.size());
+    const double variance = problem.object(refs[k]).dist.Variance();
+    const double weight = coeffs[k] * coeffs[k] * variance;
+    if (!std::isfinite(coeffs[k]) || !std::isfinite(weight)) {
+      char detail[160];
+      std::snprintf(detail, sizeof(detail),
+                    "query weight a_i^2 Var[X_i] of object %d is not finite "
+                    "(a_i = %g, Var[X_i] = %g)",
+                    refs[k], coeffs[k], variance);
+      if (error != nullptr) *error = detail;
+      return false;
+    }
+    sum += weight;
+  }
+  if (!std::isfinite(sum)) {
+    if (error != nullptr) {
+      *error = "query weights a_i^2 Var[X_i] sum to a non-finite value";
+    }
+    return false;
+  }
+  return true;
 }
 
 Selection MinVarOptimumDp(const LinearQueryFunction& f,

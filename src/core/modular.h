@@ -3,11 +3,13 @@
 // pseudo-polynomial ("Optimum") and FPTAS solvers, returning cleaning
 // selections directly.  Registered with the Planner facade as
 // "knapsack_dp_minvar" / "knapsack_fptas_minvar" / "knapsack_dp_maxpr" /
-// "knapsack_fptas_maxpr" (PlanRequest::cost_scale and fptas_eps carry the
-// solver parameters).
+// "knapsack_fptas_maxpr", which run the solvers at their default
+// `cost_scale` and `eps`.
 
 #ifndef FACTCHECK_CORE_MODULAR_H_
 #define FACTCHECK_CORE_MODULAR_H_
+
+#include <string>
 
 #include "core/greedy.h"
 #include "core/query_function.h"
@@ -18,6 +20,15 @@ namespace factcheck {
 std::vector<double> MinVarModularWeights(const LinearQueryFunction& f,
                                          const std::vector<double>& variances,
                                          int n);
+
+// Whether every coefficient a_i of `f`, every weight a_i^2 Var[X_i] over
+// `problem`, and the weights' sum are finite: the precondition of the
+// modular and knapsack solvers, whose value scaling would otherwise cast
+// an infinity to an integer.  False, with a diagnostic naming the first
+// offending object, otherwise.  `f`'s references must index `problem`.
+bool CheckModularWeightsFinite(const LinearQueryFunction& f,
+                               const CleaningProblem& problem,
+                               std::string* error);
 
 // "Optimum" (Lemma 3.2, first bullet): exact maximum removed variance via
 // the O(n * C) dynamic program.  Real costs are scaled to integers at
@@ -31,7 +42,7 @@ Selection MinVarOptimumDp(const LinearQueryFunction& f,
 Selection MinVarFptas(const LinearQueryFunction& f,
                       const std::vector<double>& variances,
                       const std::vector<double>& costs, double budget,
-                      double eps);
+                      double eps = 0.1);
 
 // Lemma 3.3 analogues for MaxPr under independent centered normals
 // (weights a_i^2 sigma_i^2).
@@ -42,7 +53,7 @@ Selection MaxPrOptimumDp(const LinearQueryFunction& f,
 Selection MaxPrFptas(const LinearQueryFunction& f,
                      const std::vector<double>& stddevs,
                      const std::vector<double>& costs, double budget,
-                     double eps);
+                     double eps = 0.1);
 
 // Variance of f(X) remaining after cleaning `cleaned` in the modular case:
 // sum of the weights outside the cleaned set.

@@ -85,7 +85,7 @@ Selection RunGreedyMinVarLinear(const PlanContext& ctx) {
 Selection RunMcGreedyMinVar(const PlanContext& ctx) {
   return GreedyMinVarMonteCarlo(ctx.query, ctx.problem, ctx.request.budget,
                                 ctx.request.engine.mc_samples,
-                                ctx.request.engine.mc_inner, *ctx.rng,
+                                kMonteCarloInnerSamples, *ctx.rng,
                                 ctx.greedy);
 }
 
@@ -102,22 +102,22 @@ Selection RunBestMinVar(const PlanContext& ctx) {
 
 Selection RunKnapsackDpMinVar(const PlanContext& ctx) {
   return MinVarOptimumDp(*ctx.linear, ctx.problem.Variances(), ctx.costs,
-                         ctx.request.budget, ctx.request.cost_scale);
+                         ctx.request.budget);
 }
 
 Selection RunKnapsackFptasMinVar(const PlanContext& ctx) {
   return MinVarFptas(*ctx.linear, ctx.problem.Variances(), ctx.costs,
-                     ctx.request.budget, ctx.request.fptas_eps);
+                     ctx.request.budget);
 }
 
 Selection RunKnapsackDpMaxPr(const PlanContext& ctx) {
   return MaxPrOptimumDp(*ctx.linear, Stddevs(ctx.problem), ctx.costs,
-                        ctx.request.budget, ctx.request.cost_scale);
+                        ctx.request.budget);
 }
 
 Selection RunKnapsackFptasMaxPr(const PlanContext& ctx) {
   return MaxPrFptas(*ctx.linear, Stddevs(ctx.problem), ctx.costs,
-                    ctx.request.budget, ctx.request.fptas_eps);
+                    ctx.request.budget);
 }
 
 Selection RunBruteForce(const PlanContext& ctx) {
@@ -245,6 +245,10 @@ std::optional<PlanResult> Planner::TryPlan(const PlanRequest& request,
   FC_CHECK(request.query != nullptr);
   if (request.budget < 0.0) {
     SetError(error, "budget must be non-negative");
+    return std::nullopt;
+  }
+  if (!std::isfinite(request.tau) || request.tau < 0.0) {
+    SetError(error, "tau must be a finite number >= 0");
     return std::nullopt;
   }
   if (algo->objective.has_value() && *algo->objective != request.objective) {

@@ -45,7 +45,6 @@ struct EngineOptions {
   int threads = 1;        // >1 attaches a ThreadPool to the evaluation engine
   bool lazy = false;      // CELF lazy greedy instead of full rescans
   int mc_samples = 200;   // outer sample count of the Monte Carlo algorithms
-  int mc_inner = 64;      // inner sample count of the Monte Carlo EV estimate
   std::uint64_t seed = 2019;  // RNG seed (random / Monte Carlo algorithms)
 };
 
@@ -95,12 +94,7 @@ struct PlanRequest {
 
   ObjectiveKind objective = ObjectiveKind::kMinVar;
   double budget = 0.0;
-  double tau = 0.0;  // MaxPr surprise threshold
-
-  // Parameters of individual algorithm families (defaults match the
-  // direct-call defaults; the equivalence suite relies on that).
-  double fptas_eps = 0.1;     // knapsack_fptas_* accuracy
-  double cost_scale = 10.0;   // knapsack_dp_* cost-rounding resolution
+  double tau = 0.0;  // MaxPr surprise threshold (finite, >= 0)
 
   // Optional cooperative deadline (util/cancel.h).  Checked on entry,
   // threaded to the engine-backed drivers through GreedyOptions::cancel

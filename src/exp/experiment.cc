@@ -98,19 +98,6 @@ std::optional<ExperimentCell> ExperimentRunner::TryRunCell(
   double sum = 0.0;
   for (double v : wall_ms) sum += v;
   cell.wall_ms_mean = sum / static_cast<double>(wall_ms.size());
-  cell.evaluations = cell.result.stats.evaluations;
-  cell.cache_hits = cell.result.stats.cache_hits;
-  cell.cache_evictions = cell.result.stats.cache_evictions;
-  cell.probes = cell.result.stats.probes;
-  cell.commits = cell.result.stats.commits;
-  cell.kernel_calls = cell.result.stats.kernel_calls;
-  cell.kernel_atoms = cell.result.stats.kernel_atoms;
-  cell.plane_rows_rebuilt = cell.result.stats.plane_rows_rebuilt;
-  cell.requests = cell.result.stats.requests;
-  cell.sheds = cell.result.stats.sheds;
-  cell.deadline_exceeded = cell.result.stats.deadline_exceeded;
-  cell.retries = cell.result.stats.retries;
-  cell.faults_injected = cell.result.stats.faults_injected;
 
   if (with_objective) {
     if (workload.metric != nullptr) {
@@ -232,19 +219,20 @@ void WriteCellJson(const ExperimentCell& cell, JsonWriter& writer) {
   writer.Key("wall_ms").Number(cell.wall_ms);
   writer.Key("wall_ms_min").Number(cell.wall_ms_min);
   writer.Key("wall_ms_mean").Number(cell.wall_ms_mean);
-  writer.Key("evaluations").Int(cell.evaluations);
-  writer.Key("cache_hits").Int(cell.cache_hits);
-  writer.Key("cache_evictions").Int(cell.cache_evictions);
-  writer.Key("probes").Int(cell.probes);
-  writer.Key("commits").Int(cell.commits);
-  writer.Key("kernel_calls").Int(cell.kernel_calls);
-  writer.Key("kernel_atoms").Int(cell.kernel_atoms);
-  writer.Key("plane_rows_rebuilt").Int(cell.plane_rows_rebuilt);
-  writer.Key("requests").Int(cell.requests);
-  writer.Key("sheds").Int(cell.sheds);
-  writer.Key("deadline_exceeded").Int(cell.deadline_exceeded);
-  writer.Key("retries").Int(cell.retries);
-  writer.Key("faults_injected").Int(cell.faults_injected);
+  const EngineStats& stats = cell.result.stats;
+  writer.Key("evaluations").Int(stats.evaluations);
+  writer.Key("cache_hits").Int(stats.cache_hits);
+  writer.Key("cache_evictions").Int(stats.cache_evictions);
+  writer.Key("probes").Int(stats.probes);
+  writer.Key("commits").Int(stats.commits);
+  writer.Key("kernel_calls").Int(stats.kernel_calls);
+  writer.Key("kernel_atoms").Int(stats.kernel_atoms);
+  writer.Key("plane_rows_rebuilt").Int(stats.plane_rows_rebuilt);
+  writer.Key("requests").Int(stats.requests);
+  writer.Key("sheds").Int(stats.sheds);
+  writer.Key("deadline_exceeded").Int(stats.deadline_exceeded);
+  writer.Key("retries").Int(stats.retries);
+  writer.Key("faults_injected").Int(stats.faults_injected);
   writer.Key("picked").Int(
       static_cast<std::int64_t>(cell.result.selection.cleaned.size()));
   writer.Key("cost").Number(cell.result.selection.cost);

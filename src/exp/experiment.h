@@ -70,27 +70,13 @@ struct ExperimentCell {
   double wall_ms = 0.0;      // median over the timed repetitions
   double wall_ms_min = 0.0;
   double wall_ms_mean = 0.0;
-  std::int64_t evaluations = 0;  // EngineStats of the last repetition
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_evictions = 0;  // memo entries downdated by deltas
-  std::int64_t probes = 0;   // incremental marginal-gain probes
-  std::int64_t commits = 0;  // incremental set extensions committed
-  std::int64_t kernel_calls = 0;  // SoA convolution-kernel invocations
-  std::int64_t kernel_atoms = 0;  // atoms written by those kernels
-  std::int64_t plane_rows_rebuilt = 0;  // partial plane-rebuild row count
-  std::int64_t requests = 0;  // plan requests served (serving workloads)
-  // Robustness counters (serve/counters.h), filled by the degraded
-  // serving workloads; 0 elsewhere.  Deterministic for a fixed fault
-  // schedule — compare_bench.py pins them exactly.
-  std::int64_t sheds = 0;
-  std::int64_t deadline_exceeded = 0;
-  std::int64_t retries = 0;
-  std::int64_t faults_injected = 0;
 
   double objective = 0.0;  // workload metric of the selected set
   bool has_objective = false;
 
-  PlanResult result;  // full result of the last repetition
+  // Full result of the last repetition; result.stats holds its engine
+  // counters.
+  PlanResult result;
 };
 
 class ExperimentRunner {

@@ -694,7 +694,7 @@ Selection RunReplanCell(const CleaningProblem& base,
   // Cold plan: fills the memo, and forces the planes build the deltas
   // will partially invalidate.
   (void)working.planes();
-  const Selection cold = engine.PlainGreedy(costs, ctx.request.budget);
+  const Selection cold = engine.Greedy(costs, ctx.request.budget);
   (void)cold;  // the cell's result is the post-delta replan
 
   const int n = working.size();
@@ -707,7 +707,7 @@ Selection RunReplanCell(const CleaningProblem& base,
   const EngineStats before = engine.stats();
   const std::int64_t rows_before = working.plane_rows_rebuilt();
   (void)working.planes();  // partial repack of exactly the touched rows
-  const Selection warm = engine.PlainGreedy(costs, ctx.request.budget);
+  const Selection warm = engine.Greedy(costs, ctx.request.budget);
   const EngineStats after = engine.stats();
   const std::int64_t rows_rebuilt =
       working.plane_rows_rebuilt() - rows_before;
@@ -718,7 +718,7 @@ Selection RunReplanCell(const CleaningProblem& base,
   // repack is bounded by the number of objects the deltas touched.
   EvalEngine fresh(MaxPrObjective(query, working, tau),
                    OptimizeDirection::kMaximize);
-  const Selection scratch = fresh.PlainGreedy(costs, ctx.request.budget);
+  const Selection scratch = fresh.Greedy(costs, ctx.request.budget);
   FC_CHECK(scratch.cleaned == warm.cleaned);
   FC_CHECK(scratch.order == warm.order);
   const std::int64_t warm_evaluations =

@@ -102,6 +102,9 @@ KnapsackSolution MaxKnapsackFptas(const std::vector<double>& values,
   if (vmax <= 0.0) return {};
   // Scale values to integers; profit-indexed DP: min cost to reach profit p.
   double scale = eps * vmax / n;
+  // An infinite value makes the scale infinite and the casts below
+  // undefined; callers validate weights (CheckModularWeightsFinite).
+  FC_CHECK(std::isfinite(scale) && scale > 0.0);
   std::vector<long> scaled(n);
   long pmax = 0;
   for (int i = 0; i < n; ++i) {

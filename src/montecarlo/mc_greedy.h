@@ -3,8 +3,9 @@
 // These are the fallback when exact enumeration of the benefit is
 // intractable — wide references, huge supports, or black-box query
 // functions.  Registered with the Planner facade as "mc_greedy_minvar" /
-// "mc_greedy_maxpr" (EngineOptions::mc_samples / mc_inner set the sample
-// counts, EngineOptions::seed the stream).
+// "mc_greedy_maxpr" (EngineOptions::mc_samples sets the outer sample
+// count, kMonteCarloInnerSamples the inner one, EngineOptions::seed the
+// stream).
 
 #ifndef FACTCHECK_MONTECARLO_MC_GREEDY_H_
 #define FACTCHECK_MONTECARLO_MC_GREEDY_H_
@@ -13,6 +14,9 @@
 #include "montecarlo/sampler.h"
 
 namespace factcheck {
+
+// The inner sample count the Planner's "mc_greedy_minvar" runs with.
+inline constexpr int kMonteCarloInnerSamples = 64;
 
 // Adaptive greedy on the Monte Carlo EV estimate.  `outer`/`inner` are the
 // sample counts of MonteCarloEV per objective evaluation; the same seeded

@@ -1,12 +1,14 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "core/ev.h"
 #include "core/maxpr.h"
+#include "core/modular.h"
 #include "core/plan_result.h"
 #include "core/registry.h"
 #include "data/problem_io.h"
@@ -160,6 +162,10 @@ bool PlanningService::RegisterProblem(const std::string& name,
   }
   auto entry = std::make_unique<ProblemEntry>(
       name, std::move(*problem), std::move(refs), std::move(coeffs));
+  std::string detail;
+  if (!CheckModularWeightsFinite(entry->query, entry->problem, &detail)) {
+    return Fail(error, "\"coeffs\": " + detail);
+  }
   fc::MutexLock lock(&registry_mutex_);
   auto [it, inserted] = problems_.try_emplace(name, std::move(entry));
   if (!inserted) return Fail(error, AlreadyRegistered(name));
@@ -226,6 +232,9 @@ bool PlanningService::EnablePersistence(const std::string& dir,
     auto entry = std::make_unique<ProblemEntry>(
         persisted.name, std::move(*problem), std::move(refs),
         std::move(coeffs));
+    if (!CheckModularWeightsFinite(entry->query, entry->problem, &detail)) {
+      return Fail(error, persisted.name + ": " + detail);
+    }
     {
       fc::MutexLock run_lock(&entry->run_mutex);
       entry->last_seq = last_seq;
@@ -398,6 +407,11 @@ std::string PlanningService::HandlePlan(const JsonValue& request) {
   double tau = 0.0;
   if (!ReadNumber(request, "tau", &found, &tau, &error)) {
     return ErrorResponse(error);
+  }
+  // Checked here as well as by the planner: EngineFor keys an engine by
+  // tau, and a rejected plan must not leave one behind.
+  if (!std::isfinite(tau) || tau < 0.0) {
+    return ErrorResponse("\"tau\" must be a finite number >= 0");
   }
   plan.tau = tau;
   double seed = 0.0;
@@ -586,6 +600,11 @@ PlanningService::ApplyOutcome PlanningService::ApplyValidated(
         return outcome;
       }
       scratch.Apply(delta);
+    }
+    std::string detail;
+    if (!CheckModularWeightsFinite(entry->query, scratch, &detail)) {
+      Fail(error, "deltas: " + detail);
+      return outcome;
     }
   }
   for (const ProblemDelta& delta : deltas) entry->problem.Apply(delta);

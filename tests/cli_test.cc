@@ -98,6 +98,14 @@ TEST(CliErrors, RunBadNumericFlags) {
                    "--seed needs an integer");
 }
 
+// A negative tau used to abort on the MaxPr objective's precondition
+// check; now it is a flag error.
+TEST(CliErrors, RunNegativeTau) {
+  ExpectDiagnostic(RunCli({"run", "--problem", "p.csv", "--algo",
+                           "greedy_maxpr", "--budget", "3", "--tau", "-1"}),
+                   "--tau needs a finite number >= 0");
+}
+
 TEST(CliErrors, RunMissingRequiredFlags) {
   ExpectDiagnostic(RunCli({"run", "--algo", "greedy_minvar", "--budget",
                            "3"}),

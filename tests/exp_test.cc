@@ -160,8 +160,8 @@ TEST(ExperimentRunner, ObjectiveMatchesWorkloadMetric) {
   EXPECT_EQ(cell.objective, w.metric(cell.result.selection.cleaned));
   // The entry reports its fresh evaluator's kernel work, which is what
   // the BENCH_dist.json gate diffs.
-  EXPECT_GT(cell.kernel_calls, 0);
-  EXPECT_GT(cell.kernel_atoms, 0);
+  EXPECT_GT(cell.result.stats.kernel_calls, 0);
+  EXPECT_GT(cell.result.stats.kernel_atoms, 0);
 }
 
 TEST(ExperimentRunner, ExactWorkloadScoresThroughTrajectory) {

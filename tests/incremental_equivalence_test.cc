@@ -21,6 +21,7 @@
 
 #include "claims/ev_fast.h"
 #include "claims/perturbation.h"
+#include "claims/ratio.h"
 #include "core/engine.h"
 #include "core/greedy.h"
 #include "core/incremental.h"
@@ -180,9 +181,40 @@ Family ClaimsFamily(std::uint64_t seed) {
   return f;
 }
 
+// Ratio-claim quality (the ratio extension): disjoint claims, so a pick's
+// footprint is the members of its one claim.
+Family RatioFamily(std::uint64_t seed) {
+  const int n = 16;
+  struct State {
+    CleaningProblem problem;
+    RatioPerturbationSet context;
+    std::unique_ptr<RatioEvEvaluator> evaluator;
+  };
+  auto state = std::make_shared<State>();
+  state->problem =
+      data::MakeSynthetic(data::SyntheticFamily::kUniformRandom, seed,
+                          {.size = n, .min_support = 2, .max_support = 3});
+  state->context = NonOverlappingRatioPerturbations(n, 2, 4, 1.5);
+  state->evaluator = std::make_unique<RatioEvEvaluator>(
+      &state->problem, &state->context, QualityMeasure::kDuplicity, 0.1);
+  Family f;
+  f.name = "ratio";
+  f.direction = OptimizeDirection::kMinimize;
+  f.costs = state->problem.Costs();
+  f.budget = 0.3 * state->problem.TotalCost();
+  f.batch = [state](const std::vector<int>& cleaned) {
+    return state->evaluator->EV(cleaned);
+  };
+  f.make_incremental = [state] {
+    return state->evaluator->MakeIncremental();
+  };
+  f.holder = state;
+  return f;
+}
+
 std::vector<Family> AllFamilies(std::uint64_t seed) {
   return {ModularFamily(seed), NormalMaxPrFamily(seed), MvnFamily(seed),
-          ClaimsFamily(seed)};
+          ClaimsFamily(seed), RatioFamily(seed)};
 }
 
 // --- Value / probe / commit consistency -----------------------------------
@@ -329,7 +361,7 @@ TEST(IncrementalFootprint, GainsOutsideTheFootprintStayBitwiseUnchanged) {
       }
     }
   }
-  // The modular and claims families declare real footprints.
+  // The modular, claims and ratio families declare real footprints.
   EXPECT_GT(checked, 0);
 }
 
@@ -467,7 +499,6 @@ TEST(WorkloadIncrementalEquivalence, MonteCarloKeepsItsOwnObjective) {
   PlanRequest request = w.MakeRequest(0.3 * w.TotalCost());
   ASSERT_NE(request.custom_incremental, nullptr);
   request.engine.mc_samples = 16;
-  request.engine.mc_inner = 8;
   Planner planner(w.registry());
   PlanResult mc = planner.Plan(request, "mc_greedy_minvar");
   // The Monte Carlo objective must actually have been evaluated: many
@@ -513,11 +544,8 @@ TEST(SignatureCollision, GreedySelectsAndCountsIdenticallyUnderCollisions) {
     degenerate.UseDegenerateSignatureForTest();
     GreedyOptions options;
     options.lazy = lazy;
-    Selection a = lazy ? normal.LazyGreedy(family.costs, family.budget)
-                       : normal.PlainGreedy(family.costs, family.budget);
-    Selection b = lazy
-                      ? degenerate.LazyGreedy(family.costs, family.budget)
-                      : degenerate.PlainGreedy(family.costs, family.budget);
+    Selection a = normal.Greedy(family.costs, family.budget, options);
+    Selection b = degenerate.Greedy(family.costs, family.budget, options);
     ExpectSameSelection(a, b, "degenerate signature");
     // The fallback must not change what is memoized, only where.
     EXPECT_EQ(normal.stats().evaluations, degenerate.stats().evaluations);

@@ -29,7 +29,6 @@ namespace {
 
 constexpr std::uint64_t kSeed = 123;
 constexpr int kMcSamples = 40;
-constexpr int kMcInner = 16;
 constexpr double kTau = 0.5;
 
 struct Fixture {
@@ -63,7 +62,6 @@ struct Fixture {
     request.engine.threads = threads;
     request.engine.lazy = lazy;
     request.engine.mc_samples = kMcSamples;
-    request.engine.mc_inner = kMcInner;
     request.engine.seed = kSeed;
     return request;
   }
@@ -135,7 +133,7 @@ TEST(RegistryEquivalence, McGreedyMinVar) {
                          Rng rng(kSeed);
                          return GreedyMinVarMonteCarlo(
                              fx.query, fx.problem, fx.budget, kMcSamples,
-                             kMcInner, rng, options);
+                             kMonteCarloInnerSamples, rng, options);
                        });
 }
 

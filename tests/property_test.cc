@@ -218,7 +218,7 @@ class InstanceQuery {
   bool use_linear_;
 };
 
-TEST(LazyGreedyProperty, CelfMatchesPlainGreedyOnHundredInstances) {
+TEST(CelfProperty, MatchesPlainOnHundredInstances) {
   // CELF's exactness guarantee needs non-increasing marginal benefits; for
   // a linear f the EV drop is modular (Lemma 3.1), so on these 100
   // instances lazy must reproduce the plain greedy pick for pick.
@@ -238,7 +238,7 @@ TEST(LazyGreedyProperty, CelfMatchesPlainGreedyOnHundredInstances) {
   }
 }
 
-TEST(LazyGreedyProperty, CelfMatchesPlainGreedyOnIndicatorInstances) {
+TEST(CelfProperty, MatchesPlainOnIndicatorInstances) {
   // Indicator-sum EV (the claim-quality regime) is not submodular in
   // general, so CELF equality is an empirical property, not a theorem: on
   // adversarial instances lazy may pick the same set in another order or
@@ -257,7 +257,7 @@ TEST(LazyGreedyProperty, CelfMatchesPlainGreedyOnIndicatorInstances) {
   }
 }
 
-TEST(LazyGreedyProperty, CelfMatchesPlainMaxPrGreedy) {
+TEST(CelfProperty, MatchesPlainMaxPrGreedy) {
   // Surprise probability is supermodular at small cleaned variance (the
   // paper's non-submodularity example), so as with indicators this is a
   // frozen empirically-matching stream, not a theorem.
@@ -272,7 +272,7 @@ TEST(LazyGreedyProperty, CelfMatchesPlainMaxPrGreedy) {
   }
 }
 
-TEST(LazyGreedyProperty, LazyNeverEvaluatesMoreThanPlain) {
+TEST(CelfProperty, LazyNeverEvaluatesMoreThanPlain) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     EngineInstance inst = MakeEngineInstance(seed);
     InstanceQuery query(inst);
@@ -281,8 +281,8 @@ TEST(LazyGreedyProperty, LazyNeverEvaluatesMoreThanPlain) {
                      OptimizeDirection::kMinimize);
     EvalEngine lazy(MinVarObjective(f, inst.problem),
                     OptimizeDirection::kMinimize);
-    plain.PlainGreedy(inst.problem.Costs(), inst.budget);
-    lazy.LazyGreedy(inst.problem.Costs(), inst.budget);
+    plain.Greedy(inst.problem.Costs(), inst.budget);
+    lazy.Greedy(inst.problem.Costs(), inst.budget, {.lazy = true});
     EXPECT_LE(lazy.stats().evaluations, plain.stats().evaluations)
         << "seed " << seed;
   }

@@ -155,7 +155,7 @@ TEST(RatioEvEvaluatorTest, EngineIncrementalMatchesBatchGreedy) {
           evaluator.MakeIncremental();
       GreedyOptions options;
       options.incremental = incremental.get();
-      Selection engine_sel = engine.PlainGreedy(p.Costs(), budget, options);
+      Selection engine_sel = engine.Greedy(p.Costs(), budget, options);
 
       EXPECT_EQ(engine_sel.cleaned, batch.cleaned)
           << "seed " << seed << " measure " << static_cast<int>(measure);

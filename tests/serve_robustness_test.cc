@@ -2,7 +2,9 @@
 // (a peer vanishing mid-response must never kill the daemon), graceful
 // Stop() draining in-flight responses without tearing them, request
 // deadlines rejected at the planner boundary with the engine memo left
-// consistent, bounded-admission overload shedding, the update
+// consistent, request lines that used to abort the daemon (a negative
+// tau, coefficients whose weights overflow) answered with an error,
+// bounded-admission overload shedding, the update
 // idempotency contract RequestSession retries lean on, and the
 // journal-overrun full-rebuild fallback for streams past the problem's
 // delta-journal capacity.
@@ -248,6 +250,86 @@ TEST(PlanningService, ExpiredDeadlineIsRejectedWholeAndCounted) {
             CleanedOf(ParseOk(oracle.HandleLine(PlanLine("p", 3.0)))));
 }
 
+// --- One request line must not kill the daemon ------------------------
+
+// The error message of a rejected request.
+std::string ErrorOf(const std::string& response) {
+  std::optional<JsonValue> value = JsonValue::Parse(response);
+  EXPECT_TRUE(value.has_value()) << response;
+  if (!value.has_value()) return "";
+  EXPECT_FALSE(value->Find("ok")->boolean()) << response;
+  const JsonValue* error = value->Find("error");
+  return error != nullptr && error->is_string() ? error->string() : "";
+}
+
+// A negative or non-finite tau used to abort on the MaxPr objective's
+// precondition check.  It is rejected naming the field, before a MaxPr
+// engine is keyed by it, and the same service answers the next line.
+TEST(PlanningService, InvalidTauIsRejectedAndTheServiceStaysUp) {
+  PlanningService service;
+  ParseOk(service.HandleLine(
+      RegisterLine("p", data::ProblemToCsv(MakeProblem()))));
+  for (const char* algo : {"greedy_maxpr", "greedy_maxpr_normal"}) {
+    for (const char* tau : {"-1", "1e999"}) {
+      SCOPED_TRACE(std::string(algo) + " tau=" + tau);
+      const std::string line =
+          std::string("{\"op\":\"plan\",\"problem\":\"p\",\"algo\":\"") +
+          algo + "\",\"budget\":3,\"tau\":" + tau + "}";
+      EXPECT_NE(ErrorOf(service.HandleLine(line)).find("\"tau\""),
+                std::string::npos);
+      ParseOk(service.HandleLine("{\"op\":\"ping\"}"));
+    }
+  }
+  // No engine was left behind for the rejected thresholds.
+  EXPECT_EQ(service.HandleLine("{\"op\":\"stats\"}").find("maxpr@"),
+            std::string::npos);
+}
+
+// Coefficients whose weights a_i^2 Var[X_i] overflow used to register
+// fine, and a knapsack_fptas plan then scaled by infinity and crashed.
+// Register and update both refuse such weights, and the service stays up.
+TEST(PlanningService, OverflowingWeightsAreRejectedAndTheServiceStaysUp) {
+  PlanningService service;
+  const std::string csv = data::ProblemToCsv(MakeProblem());
+  JsonWriter huge;
+  huge.BeginObject()
+      .Key("op")
+      .String("register")
+      .Key("problem")
+      .String("big")
+      .Key("csv")
+      .String(csv)
+      .Key("refs")
+      .BeginArray()
+      .Int(0)
+      .Int(1)
+      .EndArray()
+      .Key("coeffs")
+      .BeginArray()
+      .Number(1e308)
+      .Number(1.0)
+      .EndArray()
+      .EndObject();
+  EXPECT_NE(ErrorOf(service.HandleLine(huge.str())).find("\"coeffs\""),
+            std::string::npos);
+  ParseOk(service.HandleLine("{\"op\":\"ping\"}"));
+  EXPECT_FALSE(service.HasProblem("big"));
+
+  // An update whose distribution overflows the weight is refused whole.
+  ParseOk(service.HandleLine(RegisterLine("p", csv)));
+  const std::string overflow =
+      "{\"op\":\"update\",\"problem\":\"p\",\"deltas\":[" +
+      DeltaJson(ProblemDelta::ReplaceDistribution(
+          0, DiscreteDistribution({-1e200, 1e200}, {0.5, 0.5}))) +
+      "]}";
+  EXPECT_NE(ErrorOf(service.HandleLine(overflow)).find("deltas"),
+            std::string::npos);
+  ParseOk(service.HandleLine("{\"op\":\"ping\"}"));
+  ParseOk(service.HandleLine(
+      "{\"op\":\"plan\",\"problem\":\"p\",\"algo\":"
+      "\"knapsack_fptas_minvar\",\"budget\":3}"));
+}
+
 // Engine-level cancellation at an exact round boundary: the partial run
 // passes the memo's structural audit, and re-running the same engine to
 // completion matches a never-cancelled engine bit-for-bit.
@@ -265,22 +347,20 @@ TEST(EvalEngine, CancelledRunLeavesTheMemoConsistent) {
                       OptimizeDirection::kMinimize);
     CountdownToken token(2);
     GreedyOptions cancelled;
+    cancelled.lazy = lazy;
     cancelled.cancel = &token;
-    Selection partial = lazy ? engine.LazyGreedy(costs, budget, cancelled)
-                             : engine.PlainGreedy(costs, budget, cancelled);
+    Selection partial = engine.Greedy(costs, budget, cancelled);
 
     std::string why;
     EXPECT_TRUE(engine.CheckMemoInvariants(&why)) << why;
 
     EvalEngine fresh(MinVarObjective(f, problem),
                      OptimizeDirection::kMinimize);
-    Selection oracle = lazy ? fresh.LazyGreedy(costs, budget)
-                            : fresh.PlainGreedy(costs, budget);
+    Selection oracle = fresh.Greedy(costs, budget, {.lazy = lazy});
     // The cancelled run stopped early...
     EXPECT_LT(partial.cleaned.size(), oracle.cleaned.size());
     // ...and the warm rerun finishes it bit-identically to a cold run.
-    Selection resumed = lazy ? engine.LazyGreedy(costs, budget)
-                             : engine.PlainGreedy(costs, budget);
+    Selection resumed = engine.Greedy(costs, budget, {.lazy = lazy});
     EXPECT_EQ(resumed.cleaned, oracle.cleaned);
     EXPECT_EQ(resumed.order, oracle.order);
     EXPECT_EQ(resumed.cost, oracle.cost);  // bit-equal
@@ -298,7 +378,7 @@ TEST(EvalEngine, BornExpiredTokenSelectsNothing) {
   DeadlineToken expired(0.0);
   GreedyOptions options;
   options.cancel = &expired;
-  Selection sel = engine.PlainGreedy(problem.Costs(), 3.0, options);
+  Selection sel = engine.Greedy(problem.Costs(), 3.0, options);
   EXPECT_TRUE(sel.cleaned.empty());
   EXPECT_EQ(engine.stats().evaluations, 0);
 }

@@ -921,9 +921,9 @@ TEST(EngineGuard, NestedCallsFromTheOwnerThreadPass) {
       std::vector<double>(problem.size(), 1.0));
   EvalEngine engine(MinVarObjective(query, problem),
                     OptimizeDirection::kMinimize);
-  // PlainGreedy funnels through the batch entry points internally — the
+  // Greedy funnels through the batch entry points internally — the
   // guard must treat those as nested frames, not violations.
-  Selection selection = engine.PlainGreedy(problem.Costs(), 3.0);
+  Selection selection = engine.Greedy(problem.Costs(), 3.0);
   EXPECT_FALSE(selection.cleaned.empty());
   EXPECT_GT(engine.stats().evaluations, 0);
   // And the engine stays claimable afterwards.
